@@ -21,7 +21,6 @@ from .errors import (
 from .matching import MatchedForm, match_decomposition, verify_decomposition
 from .monitors import (
     ContractionVerdict,
-    ConvergenceVerdict,
     FloorVerdict,
     MovementBudget,
     StepMetrics,

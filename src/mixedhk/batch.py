@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Optional
 
@@ -12,17 +10,6 @@ import numpy as np
 from .dynamics import ModelConfig
 from .monitors import check_trajectory
 from .simulate import simulate
-
-THREADS_ENV = "MIXED_HK_THREADS"
-
-
-def _worker_count(num_runs: int) -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        cap = max(1, int(raw))
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, num_runs))
 
 
 def _one_run(config: ModelConfig, seed: int, delta: Optional[float], hull: bool) -> dict:
@@ -55,20 +42,15 @@ def batch_run(config: ModelConfig, num_runs: int, seed_base: int,
               delta: Optional[float] = None, *, hull: bool = False) -> dict:
     """Run ``num_runs`` independent simulations with seeds base..base+runs-1.
 
-    Results are aggregated in seed order, so the summary is deterministic no
-    matter how many worker threads the MIXED_HK_THREADS variable allows.
-    Hull-containment checking is off by default here (it dominates the cost
-    of large sweeps); enable it with ``hull=True``.
+    Runs execute one after another and are aggregated in seed order, so the
+    summary is deterministic. Hull-containment checking is off by default
+    here (it dominates the cost of large sweeps); enable it with
+    ``hull=True``.
     """
     if num_runs < 1:
         raise ValueError(f"num_runs must be >= 1, got {num_runs}")
     seeds = [seed_base + k for k in range(num_runs)]
-    workers = _worker_count(num_runs)
-    if workers == 1:
-        results = [_one_run(config, s, delta, hull) for s in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: _one_run(config, s, delta, hull), seeds))
+    results = [_one_run(config, s, delta, hull) for s in seeds]
 
     taus = [r["tau_delta"] for r in results if r["tau_delta"] is not None]
     violation_keys = sorted(results[0]["violations"])

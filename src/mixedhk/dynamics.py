@@ -254,20 +254,23 @@ def neighbor_means(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def step(state: OpinionState, alpha: np.ndarray) -> OpinionState:
+def step(state: OpinionState, alpha: np.ndarray, *,
+         mask: Optional[np.ndarray] = None) -> OpinionState:
     """Advance the dynamics one step under stubbornness vector alpha.
 
     Every new opinion lies in the convex hull of the agent's neighbors'
     opinions. Absolutely stubborn agents (alpha_i = 1) and isolated agents
     keep their opinion bit for bit; absolutely open-minded agents
-    (alpha_i = 0) adopt the neighbor mean bit for bit.
+    (alpha_i = 0) adopt the neighbor mean bit for bit. ``mask`` is the
+    state's ``neighbor_matrix`` when the caller already has it.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (state.n,):
         raise ConfigError(f"alpha has shape {alpha.shape}, expected ({state.n},)")
     if np.any(alpha < 0.0) or np.any(alpha > 1.0):
         raise ConfigError("every stubbornness entry must lie in [0, 1]")
-    mask = neighbor_matrix(state)
+    if mask is None:
+        mask = neighbor_matrix(state)
     means = neighbor_means(state.x, mask)
     new_x = np.empty_like(state.x)
     degrees = mask.sum(axis=1)

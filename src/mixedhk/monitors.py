@@ -26,20 +26,31 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import OpinionState, neighbor_matrix, squared_distances
-from .profile import build_profile, detect_merge_events, diameter, hull_distance
+from .profile import (StateAnalysis, analyze_state, capped_energy, detect_merge_events, diameter,
+                      hull_distance, neighbor_spread)
 from .trajectory import Trajectory
 
 ENERGY_SLACK = 1e-9  # relative to n^2 eps^2
 DIAM_SLACK = 1e-12  # absolute, diameters are O(eps) at desk scale
+HULL_TOL = 1e-12  # absolute, distance of a new opinion from its neighbors' hull
+
+
+def _analysis(state: OpinionState, analysis: Optional[StateAnalysis]) -> StateAnalysis:
+    return analyze_state(state) if analysis is None else analysis
+
+
+def _analyses(traj: Trajectory):
+    """Each recorded state's analysis, built only when it is reached."""
+    return (analyze_state(traj.state_at(t)) for t in range(len(traj.states)))
 
 
 def energy(state: OpinionState) -> float:
     """Capped pairwise energy: sum over ordered pairs of min(dist^2, eps^2)."""
-    d2 = squared_distances(state.x)
-    return float(np.minimum(d2, state.epsilon * state.epsilon).sum())
+    return capped_energy(squared_distances(state.x), state.epsilon)
 
 
-def energy_drop_bound(state: OpinionState, next_state: OpinionState, alpha: np.ndarray) -> float:
+def energy_drop_bound(state: OpinionState, next_state: OpinionState, alpha: np.ndarray,
+                      *, analysis: Optional[StateAnalysis] = None) -> float:
     """Lower bound on Z(t) - Z(t+1) in terms of per-agent displacements.
 
     The coefficient of agent i's squared displacement is
@@ -47,7 +58,8 @@ def energy_drop_bound(state: OpinionState, next_state: OpinionState, alpha: np.n
     alpha_i = 1 (where the displacement is identically zero anyway).
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    counts = neighbor_matrix(state).sum(axis=1).astype(np.float64)
+    degrees = neighbor_matrix(state).sum(axis=1) if analysis is None else analysis.degrees
+    counts = degrees.astype(np.float64)
     disp_sq = ((next_state.x - state.x) ** 2).sum(axis=1)
     coeff = np.ones(state.n)
     movable = alpha < 1.0
@@ -74,8 +86,7 @@ def contraction_coefficient(alpha: np.ndarray) -> float:
 
 def component_diameters(state: OpinionState) -> list[float]:
     """Diameter of each connected component of the state's profile."""
-    prof = build_profile(state)
-    return [diameter(state.x[grp]) for grp in prof.components()]
+    return list(analyze_state(state).component_diameters)
 
 
 @dataclass
@@ -88,12 +99,13 @@ class ContractionVerdict:
     diam_after: float
 
 
-def contraction_check(state: OpinionState, next_state: OpinionState,
-                      alpha: np.ndarray) -> ContractionVerdict:
+def contraction_check(state: OpinionState, next_state: OpinionState, alpha: np.ndarray,
+                      *, analysis: Optional[StateAnalysis] = None,
+                      next_analysis: Optional[StateAnalysis] = None) -> ContractionVerdict:
     """Check diam(t+1) <= beta * diam(t) on epsilon-trivial profiles and the
     unconditional non-expansion diam(t+1) <= diam(t)."""
-    d_before = diameter(state.x)
-    d_after = diameter(next_state.x)
+    d_before = diameter(state.x) if analysis is None else analysis.diameter
+    d_after = diameter(next_state.x) if next_analysis is None else next_analysis.diameter
     nonexp = d_after <= d_before + DIAM_SLACK
     if state.n >= 2 and d_before <= state.epsilon:
         coeff = contraction_coefficient(alpha)
@@ -105,10 +117,11 @@ def contraction_check(state: OpinionState, next_state: OpinionState,
 def components_interact(state: OpinionState, next_state: OpinionState) -> bool:
     """True iff an edge of the next profile joins two different components
     of the current profile."""
-    prof_now = build_profile(state)
-    prof_next = build_profile(next_state)
-    labels = prof_now.component_ids
-    return any(labels[i] != labels[j] for i, j in prof_next.edges)
+    return _interact(analyze_state(state), analyze_state(next_state))
+
+
+def _interact(now: StateAnalysis, nxt: StateAnalysis) -> bool:
+    return bool((nxt.mask & (now.labels[:, None] != now.labels[None, :])).any())
 
 
 @dataclass
@@ -151,25 +164,26 @@ class StepMetrics:
         }
 
 
-def _hull_containment_ok(state: OpinionState, next_state: OpinionState,
-                         tol: float = 1e-12) -> bool:
-    mask = neighbor_matrix(state)
-    return all(
-        hull_distance(next_state.x[i][None, :], state.x[np.flatnonzero(mask[i])]) <= tol
-        for i in range(state.n)
-    )
+def _hull_strays(x: np.ndarray, next_x: np.ndarray, mask: np.ndarray, tol: float):
+    """Per agent, whether its new opinion lies farther than ``tol`` from the
+    convex hull of its neighbors' previous opinions (``mask`` rows)."""
+    return (hull_distance(next_x[i][None, :], x[np.flatnonzero(mask[i])]) > tol
+            for i in range(x.shape[0]))
 
 
 def compute_step_metrics(state: OpinionState, next_state: OpinionState,
                          alpha: np.ndarray, *, interaction: bool = False,
-                         hull: bool = False) -> StepMetrics:
+                         hull: bool = False, analysis: Optional[StateAnalysis] = None,
+                         next_analysis: Optional[StateAnalysis] = None) -> StepMetrics:
     """Evaluate the per-step monitors for one transition."""
-    z_now = energy(state)
-    z_next = energy(next_state)
+    now = _analysis(state, analysis)
+    nxt = _analysis(next_state, next_analysis)
+    z_now = now.energy
+    z_next = nxt.energy
     drop = z_now - z_next
-    bound = energy_drop_bound(state, next_state, alpha)
+    bound = energy_drop_bound(state, next_state, alpha, analysis=now)
     slack = ENERGY_SLACK * state.n**2 * state.epsilon**2
-    cv = contraction_check(state, next_state, alpha)
+    cv = contraction_check(state, next_state, alpha, analysis=now, next_analysis=nxt)
     disp_sq = ((next_state.x - state.x) ** 2).sum(axis=1)
     return StepMetrics(
         t=state.t,
@@ -180,13 +194,13 @@ def compute_step_metrics(state: OpinionState, next_state: OpinionState,
         energy_ok=drop >= bound - slack,
         contraction_coeff=cv.coefficient,
         diam_global=cv.diam_before,
-        diam_per_component=tuple(component_diameters(state)),
+        diam_per_component=tuple(now.component_diameters),
         displacement_sq=tuple(float(v) for v in disp_sq),
         epsilon_trivial=cv.applicable,
         contraction_ok=cv.contraction_ok,
         nonexpansion_ok=cv.nonexpansion_ok,
-        interaction=components_interact(state, next_state) if interaction else None,
-        hull_ok=_hull_containment_ok(state, next_state) if hull else None,
+        interaction=_interact(now, nxt) if interaction else None,
+        hull_ok=not any(_hull_strays(state.x, next_state.x, now.mask, HULL_TOL)) if hull else None,
     )
 
 
@@ -254,32 +268,33 @@ def movement_budget_terms(traj: Trajectory, agent: int) -> MovementBudget:
     ||x_i(t) - x_i(t+1)|| <= term is checked with 1e-12 slack."""
     if not (0 <= agent < traj.n):
         raise ValueError(f"agent {agent} out of range for n={traj.n}")
-    terms = []
-    sums = []
-    ok = []
-    running = 0.0
-    violations = 0
+    agents = np.array([agent])
+    degrees, spread = [], []
     for t in range(traj.steps):
-        state = traj.state_at(t)
-        mask = neighbor_matrix(state)[agent]
-        idx = np.flatnonzero(mask)
-        count = len(idx)
-        if count <= 1:
-            spread = 0.0
-        else:
-            diffs = state.x[idx] - state.x[agent]
-            spread = float(np.sqrt((diffs * diffs).sum(axis=1).max()))
-        a = float(traj.alphas[t][agent])
-        term = (1.0 - a) * (1.0 - 1.0 / count) * spread
-        movement = float(np.linalg.norm(traj.states[t + 1][agent] - traj.states[t][agent]))
-        good = movement <= term + DIAM_SLACK
-        if not good:
-            violations += 1
-        terms.append(term)
-        running += term
-        sums.append(running)
-        ok.append(good)
-    return MovementBudget(agent, tuple(terms), tuple(sums), tuple(ok), violations)
+        rows = neighbor_matrix(traj.state_at(t))[agents]
+        degrees.append(np.count_nonzero(rows, axis=1))
+        spread.append(neighbor_spread(traj.states[t], rows, agents))
+    return _movement_budgets(traj, agents, degrees, spread)[0]
+
+
+def _movement_budgets(traj: Trajectory, agents: np.ndarray, degrees: list,
+                      spread: list) -> list[MovementBudget]:
+    """Movement budgets of ``agents``, one array pass over the steps, from
+    each step's neighbor counts and neighbor spreads of those agents."""
+    steps = traj.steps
+    if steps == 0:
+        return [MovementBudget(int(i), (), (), (), 0) for i in agents]
+    alphas = np.array([alpha[agents] for alpha in traj.alphas])
+    terms = (1.0 - alphas) * (1.0 - 1.0 / np.array(degrees)) * np.array(spread)
+    sums = np.cumsum(terms, axis=0)
+    x = np.array([state[agents] for state in traj.states])
+    moves = x[1:] - x[:-1]
+    # the per-row dot product that np.linalg.norm takes of one move
+    movement = np.sqrt(np.matmul(moves[..., None, :], moves[..., :, None])[..., 0, 0])
+    ok = movement <= terms + DIAM_SLACK
+    return [MovementBudget(int(i), tuple(terms[:, k].tolist()), tuple(sums[:, k].tolist()),
+                           tuple(ok[:, k].tolist()), int(steps - ok[:, k].sum()))
+            for k, i in enumerate(agents)]
 
 
 @dataclass
@@ -292,7 +307,8 @@ class FloorVerdict:
 
 
 def displacement_floor_check(state: OpinionState, next_state: OpinionState,
-                             alpha: np.ndarray, delta: float) -> FloorVerdict:
+                             alpha: np.ndarray, delta: float, *,
+                             analysis: Optional[StateAnalysis] = None) -> FloorVerdict:
     """Check sum_i ||x_i(t) - x_i(t+1)||^2 > 2 delta^2 (1 - max alpha)^2 / n^8.
 
     Applicable whenever some component of the current profile is
@@ -306,7 +322,7 @@ def displacement_floor_check(state: OpinionState, next_state: OpinionState,
     alpha = np.asarray(alpha, dtype=np.float64)
     if np.any(alpha >= 1.0):
         return FloorVerdict(False, None, None, None, "some alpha_i = 1")
-    diams = component_diameters(state)
+    diams = _analysis(state, analysis).component_diameters
     if all(dm <= delta for dm in diams):
         return FloorVerdict(False, None, None, None, "every component delta-trivial")
     n = state.n
@@ -319,10 +335,14 @@ def settling_time(traj: Trajectory, delta: float) -> Optional[int]:
     """First recorded t at which every component's diameter is <= delta."""
     if not (delta > 0):
         raise ValueError(f"delta must be positive, got {delta}")
-    for t in range(len(traj.states)):
-        if all(dm <= delta for dm in component_diameters(traj.state_at(t))):
-            return t
-    return None
+    return _first_settled((a.component_diameters for a in _analyses(traj)), delta)
+
+
+def _first_settled(diameters, delta: float) -> Optional[int]:
+    """Index of the first per-state component-diameter list with every
+    entry <= delta, or None."""
+    return next((t for t, diams in enumerate(diameters) if all(dm <= delta for dm in diams)),
+                None)
 
 
 def settling_bounds(n: int, epsilon: float, delta: float, sup_alpha: float) -> tuple[float, float]:
@@ -353,28 +373,31 @@ def interaction_equivalence(traj: Trajectory, delta: float) -> dict:
     """
     if not (0.0 < delta <= traj.epsilon / 4.0):
         raise ValueError(f"equivalence needs 0 < delta <= epsilon/4, got {delta}")
-    half_eps = traj.epsilon / 2.0
     steps = []
-    mismatches = 0
-    interaction_steps = []
-    for t in range(traj.steps):
-        state = traj.state_at(t)
-        if not all(dm <= delta for dm in component_diameters(state)):
-            continue
-        next_state = traj.state_at(t + 1)
-        next_diams = component_diameters(next_state)
-        c1 = any(dm > delta for dm in next_diams)
-        c2 = components_interact(state, next_state)
-        c3 = any(dm > half_eps for dm in next_diams)
-        equal = c1 == c2 == c3
-        if not equal:
-            mismatches += 1
-        if c2:
-            interaction_steps.append(t)
-        steps.append({"t": t, "next_nontrivial": c1, "interaction": c2,
-                      "half_eps_nontrivial": c3, "equivalent": equal})
-    return {"delta": delta, "steps": steps, "mismatches": mismatches,
-            "interaction_steps": interaction_steps}
+    analyses = _analyses(traj)
+    now = next(analyses)
+    for t, nxt in enumerate(analyses):
+        record = _equivalence_step(t, now, nxt, delta, traj.epsilon)
+        if record is not None:
+            steps.append(record)
+        now = nxt
+    return {"delta": delta, "steps": steps,
+            "mismatches": sum(not r["equivalent"] for r in steps),
+            "interaction_steps": [r["t"] for r in steps if r["interaction"]]}
+
+
+def _equivalence_step(t: int, now: StateAnalysis, nxt: StateAnalysis, delta: float,
+                      epsilon: float) -> Optional[dict]:
+    """interaction_equivalence's record for step t -> t+1, or None when the
+    profile at t has a delta-nontrivial component."""
+    if not all(dm <= delta for dm in now.component_diameters):
+        return None
+    next_diams = nxt.component_diameters
+    c1 = any(dm > delta for dm in next_diams)
+    c2 = _interact(now, nxt)
+    c3 = any(dm > epsilon / 2.0 for dm in next_diams)
+    return {"t": t, "next_nontrivial": c1, "interaction": c2,
+            "half_eps_nontrivial": c3, "equivalent": c1 == c2 == c3}
 
 
 def first_interaction_times(traj: Trajectory, *, m_max: int = 64) -> list[int]:
@@ -385,18 +408,19 @@ def first_interaction_times(traj: Trajectory, *, m_max: int = 64) -> list[int]:
     (epsilon/m)-nontrivial. Windows truncated at the horizon; evaluation
     stops at the first m whose settling time is not reached.
     """
-    horizon = len(traj.states)
+    return _interaction_times(traj.epsilon,
+                              [a.component_diameters for a in _analyses(traj)], m_max)
+
+
+def _interaction_times(epsilon: float, comp_cache: list, m_max: int) -> list[int]:
+    """first_interaction_times from every recorded state's component diameters."""
+    horizon = len(comp_cache)
     times = set()
-    comp_cache = [component_diameters(traj.state_at(t)) for t in range(horizon)]
     taus = {}
 
     def tau(m: int) -> Optional[int]:
         if m not in taus:
-            thr = traj.epsilon / m
-            taus[m] = next(
-                (t for t in range(horizon) if all(dm <= thr for dm in comp_cache[t])),
-                None,
-            )
+            taus[m] = _first_settled(comp_cache, epsilon / m)
         return taus[m]
 
     for m in range(4, m_max + 1):
@@ -405,7 +429,7 @@ def first_interaction_times(traj: Trajectory, *, m_max: int = 64) -> list[int]:
             break
         t_next = tau(m + 1)
         right = t_next if t_next is not None else horizon
-        thr = traj.epsilon / m
+        thr = epsilon / m
         for t in range(t_m, right):
             if any(dm > thr for dm in comp_cache[t]):
                 times.add(t)
@@ -413,33 +437,12 @@ def first_interaction_times(traj: Trajectory, *, m_max: int = 64) -> list[int]:
     return sorted(times)
 
 
-def hull_containment_violations(traj: Trajectory, *, tol: float = 1e-12) -> int:
+def hull_containment_violations(traj: Trajectory, *, tol: float = HULL_TOL) -> int:
     """Count (step, agent) pairs where the new opinion strays farther than
     ``tol`` from the convex hull of the agent's previous neighbors."""
-    bad = 0
-    for t in range(traj.steps):
-        state = traj.state_at(t)
-        mask = neighbor_matrix(state)
-        for i in range(traj.n):
-            hull_pts = state.x[np.flatnonzero(mask[i])]
-            if hull_distance(traj.states[t + 1][i][None, :], hull_pts) > tol:
-                bad += 1
-    return bad
-
-
-@dataclass
-class ConvergenceVerdict:
-    """Summary of the post-hoc checks over one trajectory."""
-
-    tau_delta: Optional[int]
-    delta: float
-    tau_bound: Optional[float]
-    sup_alpha: float
-    consensus_reached: bool
-    final_diameter: float
-    partial_sums: tuple  # per-agent movement-budget totals
-    interaction_times: list
-    interaction_bound: Optional[float]
+    return sum(sum(_hull_strays(traj.states[t], traj.states[t + 1],
+                                neighbor_matrix(traj.state_at(t)), tol))
+               for t in range(traj.steps))
 
 
 def check_trajectory(traj: Trajectory, delta: Optional[float] = None,
@@ -452,53 +455,51 @@ def check_trajectory(traj: Trajectory, delta: Optional[float] = None,
     """
     if delta is None:
         delta = traj.epsilon / 4.0
+    if not (delta > 0):
+        raise ValueError(f"delta must be positive, got {delta}")
+    check_equivalence = delta <= traj.epsilon / 4.0
     per_step = []
     violations = {"energy_descent": 0, "contraction": 0, "nonexpansion": 0,
                   "movement_bound": 0, "equivalence": 0, "hull": 0,
                   "displacement_floor": 0}
+    # one pass over the steps, holding the analyses of states t and t+1 only
+    state = traj.state_at(0)
+    now = analyze_state(state)
+    comp_cache = [now.component_diameters]
+    degrees, spread = [], []
     for t in range(traj.steps):
-        m = compute_step_metrics(traj.state_at(t), traj.state_at(t + 1),
-                                 traj.alphas[t], interaction=True)
+        next_state = traj.state_at(t + 1)
+        nxt = analyze_state(next_state)
+        m = compute_step_metrics(state, next_state, traj.alphas[t], interaction=True,
+                                 analysis=now, next_analysis=nxt)
         if not m.energy_ok:
             violations["energy_descent"] += 1
         if m.contraction_ok is False:
             violations["contraction"] += 1
         if not m.nonexpansion_ok:
             violations["nonexpansion"] += 1
-        fv = displacement_floor_check(traj.state_at(t), traj.state_at(t + 1),
-                                      traj.alphas[t], delta)
+        fv = displacement_floor_check(state, next_state, traj.alphas[t], delta, analysis=now)
         if fv.applicable and not fv.ok:
             violations["displacement_floor"] += 1
         per_step.append(m.as_record())
-    budgets = [movement_budget_terms(traj, i) for i in range(traj.n)]
+        if hull:
+            violations["hull"] += sum(_hull_strays(state.x, next_state.x, now.mask, HULL_TOL))
+        if check_equivalence:
+            record = _equivalence_step(t, now, nxt, delta, traj.epsilon)
+            violations["equivalence"] += record is not None and not record["equivalent"]
+        degrees.append(now.degrees)
+        spread.append(now.spread)
+        comp_cache.append(nxt.component_diameters)
+        state, now = next_state, nxt
+    budgets = _movement_budgets(traj, np.arange(traj.n), degrees, spread)
     violations["movement_bound"] = sum(b.violations for b in budgets)
-    if hull:
-        violations["hull"] = hull_containment_violations(traj)
-    if delta <= traj.epsilon / 4.0:
-        equiv = interaction_equivalence(traj, delta)
-        violations["equivalence"] = equiv["mismatches"]
-    else:
-        equiv = {"skipped": f"delta={delta} exceeds epsilon/4", "mismatches": 0}
     events = [e.as_record() for e in detect_merge_events(traj.states)] if len(traj.states) >= 2 else []
-    tau = settling_time(traj, delta)
+    tau = _first_settled(comp_cache, delta)
     sup_a = traj.sup_alpha()
     tau_bound = interaction_bound = None
     if sup_a < 1.0 and delta <= traj.epsilon:
         tau_bound, interaction_bound = settling_bounds(traj.n, traj.epsilon, delta, sup_a)
-    interaction_times = first_interaction_times(traj)
-    final_diam = diameter(traj.states[-1])
-    summary = ConvergenceVerdict(
-        tau_delta=tau,
-        delta=delta,
-        tau_bound=tau_bound,
-        sup_alpha=sup_a,
-        consensus_reached=all(dm <= traj.consensus_tol
-                              for dm in component_diameters(traj.state_at(len(traj.states) - 1))),
-        final_diameter=final_diam,
-        partial_sums=tuple(b.partial_sums[-1] if b.partial_sums else 0.0 for b in budgets),
-        interaction_times=interaction_times,
-        interaction_bound=interaction_bound,
-    )
+    interaction_times = _interaction_times(traj.epsilon, comp_cache, 64)
     total = sum(violations.values())
     return {
         "header": traj.header(),
@@ -507,16 +508,16 @@ def check_trajectory(traj: Trajectory, delta: Optional[float] = None,
         "total_violations": total,
         "energy_descent_violations": violations["energy_descent"],
         "contraction_violations": violations["contraction"],
-        "tau_delta": summary.tau_delta,
-        "tau_bound": summary.tau_bound,
-        "sup_alpha": summary.sup_alpha,
-        "consensus_reached": summary.consensus_reached,
-        "final_diameter": summary.final_diameter,
-        "partial_sums": list(summary.partial_sums),
-        "interaction_times": list(summary.interaction_times),
-        "interaction_bound": summary.interaction_bound,
+        "tau_delta": tau,
+        "tau_bound": tau_bound,
+        "sup_alpha": sup_a,
+        "consensus_reached": all(dm <= traj.consensus_tol for dm in now.component_diameters),
+        "final_diameter": now.diameter,
+        "partial_sums": [b.partial_sums[-1] if b.partial_sums else 0.0 for b in budgets],
+        "interaction_times": interaction_times,
+        "interaction_bound": interaction_bound,
         "merge_events": events,
-        "interaction_equivalence": {"mismatches": equiv["mismatches"]},
+        "interaction_equivalence": {"mismatches": violations["equivalence"]},
         "per_step": per_step,
         "ok": total == 0,
     }

@@ -5,14 +5,18 @@ two opinions are within epsilon of each other. This module builds profiles,
 computes convex-hull diameters and distances, decides delta-triviality and
 delta-equilibrium, and detects merge events along a trajectory.
 
-Edges are computed here directly from the squared-distance rule rather than
-through the dynamics module's neighborhoods; the two routes are cross-checked
-by tests (consistency is an invariant, not an accident of shared code).
+One ``StateAnalysis`` per state holds everything the monitors read off it:
+the neighbor mask, degrees, component labels and diameters, the capped
+energy and each agent's neighbor spread, all from one squared-distance
+matrix. Profiles are built from its mask. The independent pure-Python edge
+and merge-detection routes live in the tests as oracles, so agreement
+between this module and the dynamics stays a checked invariant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -34,11 +38,13 @@ class Profile:
     def from_edges(cls, n: int, edges, t: int = 0) -> "Profile":
         """Build a profile directly from an edge list (for graph-level checks)."""
         norm = set()
+        mask = np.eye(n, dtype=bool)
         for i, j in edges:
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bad edge ({i}, {j}) for n={n}")
             norm.add((min(i, j), max(i, j)))
-        return cls(t, n, frozenset(norm), tuple(_components(n, norm)))
+            mask[i, j] = mask[j, i] = True
+        return cls(t, n, frozenset(norm), tuple(_component_labels(mask).tolist()))
 
     @property
     def num_components(self) -> int:
@@ -64,41 +70,106 @@ class Profile:
         return self.num_components == 1
 
 
-def _components(n: int, edges) -> list[int]:
-    # union-find, labels renumbered by first occurrence
-    parent = list(range(n))
+def _component_labels(mask: np.ndarray) -> np.ndarray:
+    """Component label per agent of a symmetric boolean adjacency mask whose
+    diagonal is true; labels are numbered by each component's first member.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    Breadth-first search from the first member of each component that is
+    not a single agent, one mask row per reached agent.
+    """
+    n = mask.shape[0]
+    first = np.arange(n)  # first member of each agent's component
+    for i in np.flatnonzero(np.count_nonzero(mask, axis=1) > 1).tolist():
+        if first[i] != i:
+            continue
+        members = mask[i].copy()
+        frontier = members
+        while True:
+            frontier = np.logical_or.reduce(mask[frontier]) > members
+            if not np.count_nonzero(frontier):
+                break
+            members |= frontier
+        first[members] = i
+    return (np.cumsum(first == np.arange(n)) - 1)[first]
 
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    labels = {}
-    out = []
-    for i in range(n):
-        r = find(i)
-        if r not in labels:
-            labels[r] = len(labels)
-        out.append(labels[r])
-    return out
+
+@dataclass(frozen=True)
+class StateAnalysis:
+    """The per-state quantities the monitors read, computed once.
+
+    Everything comes from one squared-distance matrix, which is not kept:
+    only the neighbor mask and the scalars and vectors derived from it are.
+    Each value equals, bit for bit, what the single-purpose routine computes
+    (``neighbor_matrix``, ``diameter`` of the state and of each component,
+    ``monitors.energy``).
+    """
+
+    t: int
+    x: np.ndarray  # the state's opinions (the same array, not a copy)
+    mask: np.ndarray  # (n, n) bool: the epsilon-neighbor relation, self included
+    degrees: np.ndarray  # (n,) int: |N_i|
+    labels: np.ndarray  # (n,) int: component per agent, numbered by first member
+    component_diameters: list  # float per component, in label order
+    diameter: float  # diameter of the whole state
+    energy: float  # capped pairwise energy
+
+    @cached_property
+    def spread(self) -> np.ndarray:
+        """Largest distance from each agent to a neighbor (see neighbor_spread);
+        computed on first use, since only the movement budgets read it."""
+        return neighbor_spread(self.x, self.mask, np.arange(self.mask.shape[0]))
+
+    def profile(self) -> Profile:
+        i, j = np.nonzero(np.triu(self.mask, 1))
+        return Profile(self.t, self.mask.shape[0], frozenset(zip(i.tolist(), j.tolist())),
+                       tuple(self.labels.tolist()))
+
+
+def capped_energy(d2: np.ndarray, epsilon: float) -> float:
+    """Capped pairwise energy from squared distances: the sum over ordered
+    pairs of min(dist^2, eps^2). Caps ``d2`` in place."""
+    return float(np.minimum(d2, epsilon * epsilon, out=d2).sum())
+
+
+def neighbor_spread(x: np.ndarray, rows: np.ndarray, agents: np.ndarray) -> np.ndarray:
+    """Largest distance from each of ``agents`` to one of its neighbors;
+    ``rows`` holds those agents' rows of the neighbor mask.
+
+    Each squared distance is the row sum of squared coordinate differences,
+    as in the per-agent movement-budget formula; at d >= 8 numpy's pairwise
+    summation can order that sum differently from ``squared_distances``.
+    """
+    k, cols = np.nonzero(rows)
+    diffs = x[cols] - x[agents[k]]
+    spread2 = np.zeros(len(agents))
+    np.maximum.at(spread2, k, (diffs * diffs).sum(axis=1))
+    return np.sqrt(spread2)
+
+
+def analyze_state(state: OpinionState) -> StateAnalysis:
+    """Analyze one state with a single ``squared_distances`` call.
+
+    A component's diameter is the square root of the largest squared
+    distance inside its block, which is what ``diameter`` computes on the
+    component's points.
+    """
+    x = state.x
+    d2 = squared_distances(x)
+    mask = d2 <= state.epsilon * state.epsilon  # the predicate of neighbor_matrix
+    labels = _component_labels(mask)
+    row_max = np.max(d2, axis=1, where=labels[:, None] == labels[None, :], initial=0.0)
+    block_max = np.zeros(int(labels.max()) + 1)
+    np.maximum.at(block_max, labels, row_max)
+    diam = float(np.sqrt(d2.max()))
+    energy = capped_energy(d2, state.epsilon)
+    del d2
+    return StateAnalysis(state.t, x, mask, np.count_nonzero(mask, axis=1), labels,
+                         np.sqrt(block_max).tolist(), diam, energy)
 
 
 def build_profile(state: OpinionState) -> Profile:
     """Profile of a state: edges exactly where the epsilon rule holds."""
-    d2 = squared_distances(state.x)
-    eps2 = state.epsilon * state.epsilon
-    edges = set()
-    n = state.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d2[i, j] <= eps2:
-                edges.add((i, j))
-    return Profile(state.t, n, frozenset(edges), tuple(_components(n, edges)))
+    return analyze_state(state).profile()
 
 
 def diameter(points: np.ndarray) -> float:
@@ -291,16 +362,26 @@ def check_delta_equilibrium(state: OpinionState, delta: float) -> EquilibriumVer
     return EquilibriumVerdict(True, [sorted(g) for g in groups], None)
 
 
-def opinions_equal(a: np.ndarray, b: np.ndarray, rel: float = 1e-14) -> bool:
-    """Merge-detection equality: bitwise fast path, then a relative hair of slack.
+def _equality_matrix(x: np.ndarray, rel: float = 1e-14) -> np.ndarray:
+    """``opinions_equal`` for every pair of rows of ``x``, as a boolean matrix."""
+    scale = np.abs(x).max(axis=1)
+    bound = rel * np.maximum.outer(scale, scale)
+    equal = np.abs(x[:, None, 0] - x[None, :, 0]) <= bound
+    for k in range(1, x.shape[1]):
+        equal &= np.abs(x[:, None, k] - x[None, :, k]) <= bound
+    return equal
 
-    Identical arithmetic paths merge bitwise; the tolerance covers rounding
-    drift when two agents converge through different intermediate values.
+
+def opinions_equal(a: np.ndarray, b: np.ndarray, rel: float = 1e-14) -> bool:
+    """Merge-detection equality: max_k |a_k - b_k| <= rel * max(max|a|, max|b|).
+
+    Bitwise-equal finite opinions (and -0.0 against 0.0) always qualify; the
+    relative hair of slack covers rounding drift when two agents converge
+    through different intermediate values. The predicate is defined for
+    finite opinions only, which is all a state can hold: with an infinite
+    or NaN coordinate the result means nothing (inf - inf is NaN).
     """
-    if a.tobytes() == b.tobytes():
-        return True
-    scale = max(float(np.abs(a).max()), float(np.abs(b).max()))
-    return float(np.abs(a - b).max()) <= rel * scale
+    return bool(_equality_matrix(np.stack([a, b]), rel)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -321,19 +402,22 @@ def detect_merge_events(states: list) -> list[MergeEvent]:
     ``states`` is a trajectory's list of (n, d) opinion arrays. A pair merges
     at t if it is equal at t (see opinions_equal) and unequal at t-1; the
     event is flagged if the pair separates again at any later recorded time.
+    One backward pass keeps the pairs found unequal at some later time, so
+    the cost is one n-by-n equality matrix per state. Events come in
+    ascending (t, i, j) order.
     """
     if len(states) < 2:
         raise ValueError("merge detection needs a trajectory of length >= 2")
     n = states[0].shape[0]
-    events = []
-    for t in range(1, len(states)):
-        x_prev, x_now = states[t - 1], states[t]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if opinions_equal(x_now[i], x_now[j]) and not opinions_equal(x_prev[i], x_prev[j]):
-                    departed = any(
-                        not opinions_equal(states[s][i], states[s][j])
-                        for s in range(t + 1, len(states))
-                    )
-                    events.append(MergeEvent(t, i, j, departed))
-    return events
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    unequal_later = np.zeros((n, n), dtype=bool)
+    equal_now = _equality_matrix(states[-1])
+    found = []
+    for t in range(len(states) - 1, 0, -1):
+        equal_before = _equality_matrix(states[t - 1])
+        i, j = np.nonzero(equal_now & ~equal_before & upper)
+        found.append([MergeEvent(t, a, b, gone) for a, b, gone in
+                      zip(i.tolist(), j.tolist(), unequal_later[i, j].tolist())])
+        unequal_later |= ~equal_now
+        equal_now = equal_before
+    return [event for chunk in reversed(found) for event in chunk]

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import ModelConfig, OpinionState, step
-from .monitors import component_diameters, compute_step_metrics
-from .profile import detect_merge_events
+from .monitors import compute_step_metrics
+from .profile import analyze_state, detect_merge_events
 from .trajectory import Trajectory
 
 
@@ -20,6 +20,7 @@ def simulate(config: ModelConfig) -> Trajectory:
     schedule draws from a counter-based stream keyed by (seed, t).
     """
     state = OpinionState(0, config.initial.copy(), config.epsilon)
+    analysis = analyze_state(state)
     states = [state.x]
     alphas: list[np.ndarray] = []
     flags = set(config.monitors)
@@ -28,19 +29,20 @@ def simulate(config: ModelConfig) -> Trajectory:
 
     for t in range(config.max_steps):
         alpha = config.schedule.alpha_at(t, config.n, config.seed)
-        nxt = step(state, alpha)
+        nxt = step(state, alpha, mask=analysis.mask)
+        next_analysis = analyze_state(nxt)
         alphas.append(alpha)
         states.append(nxt.x)
         if metrics is not None:
             metrics.append(compute_step_metrics(state, nxt, alpha,
                                                 interaction="interaction" in flags,
-                                                hull="hull" in flags))
+                                                hull="hull" in flags, analysis=analysis,
+                                                next_analysis=next_analysis))
         if nxt.x.tobytes() == state.x.tobytes():
             stop_reason = "steady"
-            state = nxt
             break
-        state = nxt
-        if all(dm <= config.consensus_tol for dm in component_diameters(state)):
+        state, analysis = nxt, next_analysis
+        if all(dm <= config.consensus_tol for dm in analysis.component_diameters):
             stop_reason = "consensus"
             break
 

@@ -18,7 +18,7 @@ from mixedhk import (
     simulate,
     step,
 )
-from conftest import oracle_mixed_step, random_alpha, random_opinions
+from conftest import oracle_mixed_step, oracle_profile, random_alpha, random_opinions
 
 
 def test_state_validation():
@@ -47,7 +47,7 @@ class TestNeighborhoods:
         assert neighborhoods(st) == [{0}]
 
     def test_profile_consistency(self):
-        # independent edge computation in build_profile agrees with N_i
+        # build_profile and the independent pure-Python edge route agree with N_i
         rng = np.random.default_rng(7)
         for _ in range(50):
             n = int(rng.integers(1, 9))
@@ -55,6 +55,7 @@ class TestNeighborhoods:
             st = OpinionState(0, random_opinions(rng, n, d), float(rng.uniform(0.2, 2.0)))
             nbhd = neighborhoods(st)
             prof = build_profile(st)
+            assert prof.edges == frozenset(oracle_profile(st.x, st.epsilon)[0])
             for i in range(n):
                 for j in range(n):
                     in_nbhd = j in nbhd[i]

@@ -180,14 +180,6 @@ class TestBatch:
         assert s1 == s2
         assert s1["ok"] and s1["total_violations"] == 0
 
-    def test_thread_env_does_not_change_results(self, sync_config, monkeypatch):
-        cfg = parse_config_text(sync_config.read_text(), str(sync_config))
-        base = batch_run(cfg, 8, seed_base=5)
-        monkeypatch.setenv("MIXED_HK_THREADS", "4")
-        threaded = batch_run(cfg, 8, seed_base=5)
-        base.pop("per_run"), threaded.pop("per_run")
-        assert base == threaded
-
     def test_single_run_reduces_to_check(self, sync_config):
         cfg = parse_config_text(sync_config.read_text(), str(sync_config))
         summary = batch_run(cfg, 1, seed_base=11)

@@ -1,0 +1,191 @@
+"""The shared per-state analysis and vectorised merge detection, checked bit
+for bit against the independent pure-Python routes in conftest."""
+
+import json
+import weakref
+
+import numpy as np
+import pytest
+
+import mixedhk.monitors as monitors
+from mixedhk import (
+    ModelConfig,
+    Profile,
+    StubbornnessSchedule,
+    build_profile,
+    check_trajectory,
+    detect_merge_events,
+    diameter,
+    movement_budget_terms,
+    neighbor_matrix,
+    simulate,
+)
+from mixedhk.dynamics import SCHEDULE_KINDS, squared_distances
+from mixedhk.profile import analyze_state, opinions_equal
+from conftest import (
+    all_graphs,
+    oracle_merge_events,
+    oracle_movement_budget,
+    oracle_opinions_equal,
+    oracle_profile,
+    random_alpha,
+)
+
+DIMS = (1, 2, 8, 9)
+
+
+def _schedule(kind: str, rng: np.random.Generator, n: int, steps: int) -> StubbornnessSchedule:
+    if kind == "constant":
+        return StubbornnessSchedule(kind, alpha=random_alpha(rng, n))
+    if kind == "power_law":
+        return StubbornnessSchedule(kind, exponent=2.0)
+    if kind == "table":
+        return StubbornnessSchedule(kind, table=tuple(random_alpha(rng, n) for _ in range(steps)))
+    return StubbornnessSchedule(kind)
+
+
+def _trajectory(kind: str, d: int, seed: int, n: int = 14, steps: int = 25):
+    """A short random run whose epsilon is scaled to the pairwise distances,
+    so profiles are neither empty nor complete and merges happen."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (n, d))
+    eps = 0.6 * float(np.median(np.sqrt(squared_distances(x))))
+    cfg = ModelConfig(x, eps, _schedule(kind, rng, n, steps), steps, seed=seed,
+                      consensus_tol=1e-300)
+    return simulate(cfg)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+def test_analysis_and_merges_match_the_oracles(kind, d):
+    traj = _trajectory(kind, d, seed=1000 * d + SCHEDULE_KINDS.index(kind))
+    for t in range(len(traj.states)):
+        state = traj.state_at(t)
+        x, eps = state.x, state.epsilon
+        analysis = analyze_state(state)
+        edges, labels = oracle_profile(x, eps)
+        profile = build_profile(state)
+        assert profile.edges == frozenset(edges)
+        assert profile.component_ids == tuple(labels)
+        assert np.array_equal(analysis.mask, neighbor_matrix(state))
+        assert np.array_equal(analysis.degrees, analysis.mask.sum(axis=1))
+        groups = profile.components()
+        assert _bits(analysis.component_diameters) == _bits([diameter(x[g]) for g in groups])
+        assert _bits(analysis.diameter) == _bits(diameter(x))
+        d2 = squared_distances(x)
+        assert _bits(analysis.energy) == _bits(np.minimum(d2, eps * eps).sum())
+        for i in range(state.n):
+            diffs = x[np.flatnonzero(analysis.mask[i])] - x[i]
+            want = np.sqrt((diffs * diffs).sum(axis=1).max())
+            assert _bits(analysis.spread[i]) == _bits(want)
+    got = [(e.t, e.i, e.j, e.departed_later) for e in detect_merge_events(traj.states)]
+    assert got == oracle_merge_events(traj.states)
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+def test_movement_budgets_match_the_per_agent_arithmetic(kind, d, monkeypatch):
+    traj = _trajectory(kind, d, seed=7 + 1000 * d + SCHEDULE_KINDS.index(kind))
+    for agent in range(traj.n):
+        budget = movement_budget_terms(traj, agent)
+        terms, sums, ok, violations = oracle_movement_budget(traj, agent)
+        assert _bits(budget.terms) == _bits(terms)
+        assert _bits(budget.partial_sums) == _bits(sums)
+        assert (budget.bound_ok, budget.violations) == (ok, violations)
+    report = json.dumps(check_trajectory(traj, hull=False))
+
+    def per_agent(traj, agents, degrees, spread):
+        out = []
+        for agent in agents:
+            terms, sums, ok, violations = oracle_movement_budget(traj, agent)
+            out.append(monitors.MovementBudget(agent, terms, sums, ok, violations))
+        return out
+
+    monkeypatch.setattr(monitors, "_movement_budgets", per_agent)
+    assert json.dumps(check_trajectory(traj, hull=False)) == report
+
+
+def test_check_holds_two_analyses_at_a_time(monkeypatch):
+    traj = _trajectory("constant", 2, seed=5)
+    made = []
+    most = 0
+
+    def tracked(state):
+        nonlocal most
+        analysis = analyze_state(state)
+        made.append(weakref.ref(analysis))
+        most = max(most, sum(ref() is not None for ref in made))
+        return analysis
+
+    monkeypatch.setattr(monitors, "analyze_state", tracked)
+    report = check_trajectory(traj)
+    assert report["per_step"] and most == 2
+
+
+def test_profile_labels_from_edges_match_union_find():
+    for edges in all_graphs(5):
+        profile = Profile.from_edges(5, edges)
+        parent = list(range(5))
+        for i, j in edges:
+            a, b = min(i, j), max(i, j)
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            parent[max(a, b)] = min(a, b)
+        roots = []
+        for i in range(5):
+            r = i
+            while parent[r] != r:
+                r = parent[r]
+            roots.append(r)
+        order = list(dict.fromkeys(roots))
+        assert profile.component_ids == tuple(order.index(r) for r in roots)
+
+
+class TestEqualityPredicate:
+    def _check(self, a, b):
+        a, b = np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)
+        want = oracle_opinions_equal(a, b)
+        assert opinions_equal(a, b) == want
+        events = detect_merge_events([np.array([[0.0] * a.size, [1.0] * a.size]),
+                                      np.stack([a, b])])
+        assert (len(events) == 1) == want
+        return want
+
+    def test_exact_relative_boundary(self):
+        # the first coordinate sets the scale, the second holds the difference
+        bound = 1e-14 * 1.0
+        assert self._check([1.0, 0.0], [1.0, bound])
+        assert not self._check([1.0, 0.0], [1.0, np.nextafter(bound, 1.0)])
+        assert self._check([-1.0, bound], [-1.0, 0.0])
+
+    def test_one_dimensional_sweep_across_the_boundary(self):
+        outcomes = set()
+        for scale in (1.0, 3.0, 1e-300, 7.5e200):
+            a = np.array([scale])
+            ulp = np.spacing(scale)
+            for k in range(-60, 61):
+                outcomes.add(self._check(a, a + k * ulp))
+        assert outcomes == {True, False}
+
+    def test_signed_zero_is_equal(self):
+        assert self._check([-0.0], [0.0])
+        assert self._check([-0.0, 2.0], [0.0, 2.0])
+
+    def test_merge_depart_remerge(self):
+        x = [[0.0], [1.0]], [[0.5], [0.5]], [[0.4], [0.6]], [[0.5], [0.5]], [[0.5], [0.5]]
+        states = [np.array(s) for s in x]
+        got = [(e.t, e.i, e.j, e.departed_later) for e in detect_merge_events(states)]
+        assert got == [(1, 0, 1, True), (3, 0, 1, False)] == oracle_merge_events(states)
+
+    def test_events_sorted_by_time_then_pair(self):
+        rng = np.random.default_rng(4)
+        states = [rng.integers(0, 2, (6, 1)).astype(np.float64) for _ in range(12)]
+        got = [(e.t, e.i, e.j, e.departed_later) for e in detect_merge_events(states)]
+        assert got == oracle_merge_events(states)
+        assert got == sorted(got)
