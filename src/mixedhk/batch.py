@@ -13,7 +13,8 @@ from .simulate import simulate
 
 
 def _one_run(config: ModelConfig, seed: int, delta: Optional[float], hull: bool) -> dict:
-    cfg = replace(config, seed=seed, initial=config.initial.copy())
+    # check_trajectory recomputes everything read below, so simulate records nothing
+    cfg = replace(config, seed=seed, initial=config.initial.copy(), monitors=())
     traj = simulate(cfg)
     report = check_trajectory(traj, delta, hull=hull)
     single_mover_bad = 0

@@ -97,7 +97,7 @@ def _emit(report: dict, out, fmt):
         flatten("", report)
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(report, indent=1, default=str) + "\n"
+        text = json.dumps(report, indent=1, default=str, allow_nan=False) + "\n"
     if out is not None:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -147,15 +147,15 @@ def _cmd_spectral(args) -> int:
     if args.alpha is not None:
         alpha = np.array([float(v) for v in args.alpha.split(",")])
     else:
-        alpha = np.zeros(state.n)
+        alpha = np.zeros(profile.n)
     try:
-        fact = update_factorization(state, alpha)
+        fact = update_factorization(profile, alpha)
         report["update_factorization"] = {"residual": fact.residual}
     except (MixedHKError, ValueError) as exc:
         report["update_factorization"] = {"skipped": str(exc)}
     try:
         report["lambda2_chain"] = lambda2_chain_check(
-            state, alpha, seed=args.seed if args.seed is not None else 0)
+            profile, alpha, seed=args.seed if args.seed is not None else 0)
     except (MixedHKError, ValueError) as exc:
         report["lambda2_chain"] = {"skipped": str(exc)}
     _emit(report, args.out, args.format)

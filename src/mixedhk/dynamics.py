@@ -22,6 +22,11 @@ an independent implementation):
 * agents with a_i = 1, and agents whose only neighbor is themselves, keep
   their opinion bit for bit; agents with a_i = 0 adopt the neighbor mean bit
   for bit; otherwise the convex combination above is evaluated elementwise.
+
+Numeric domain (``OpinionState`` rejects anything outside it): epsilon**2 is
+a normal float, so the predicate never compares against an underflowed or
+overflowed bound, and the sum over coordinates of the squared range of the
+opinions is finite, so no squared distance overflows.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import numpy as np
 from .errors import ConfigError, ScheduleExhaustedError
 
 SCHEDULE_KINDS = ("synchronous", "asynchronous", "constant", "power_law", "table")
+_TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max  # normal float range
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,18 @@ class OpinionState:
             raise ValueError("opinions must be finite (no NaN/Inf)")
         if not (self.epsilon > 0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (_TINY <= self.epsilon * self.epsilon <= _HUGE):
+            raise ValueError(f"epsilon**2 must be a normal float (so the neighbor "
+                             f"predicate compares exactly), got epsilon={self.epsilon}")
+        # every coordinate range is at most 2 max|x|, so small opinions skip the
+        # slower exact test of the summed squared ranges (factor 2 of rounding headroom)
+        reach = float(np.abs(x).max())
+        if 8.0 * x.shape[1] * reach * reach > _HUGE:
+            with np.errstate(over="ignore"):
+                spread2 = float(np.sum(np.ptp(x, axis=0) ** 2))
+            if not np.isfinite(spread2):
+                raise ValueError("opinions too far apart: their squared distances overflow "
+                                 "(the sum of squared coordinate ranges is not finite)")
         if self.t < 0:
             raise ValueError(f"time index must be nonnegative, got {self.t}")
         object.__setattr__(self, "x", x)
@@ -234,9 +252,10 @@ def neighborhoods(state: OpinionState) -> list[set[int]]:
     return [set(np.flatnonzero(mask[i]).tolist()) for i in range(state.n)]
 
 
-def averaging_matrix(state: OpinionState) -> np.ndarray:
-    """Row-stochastic matrix A with A[i, j] = 1/|N_i| for j in N_i, else 0."""
-    mask = neighbor_matrix(state)
+def averaging_matrix(mask: np.ndarray) -> np.ndarray:
+    """Row-stochastic matrix A with A[i, j] = 1/|N_i| for j in N_i, else 0,
+    from a neighbor mask (``neighbor_matrix`` of a state, or a profile's
+    ``mask``)."""
     counts = mask.sum(axis=1).astype(np.float64)
     return mask.astype(np.float64) / counts[:, None]
 

@@ -437,14 +437,6 @@ def _interaction_times(epsilon: float, comp_cache: list, m_max: int) -> list[int
     return sorted(times)
 
 
-def hull_containment_violations(traj: Trajectory, *, tol: float = HULL_TOL) -> int:
-    """Count (step, agent) pairs where the new opinion strays farther than
-    ``tol`` from the convex hull of the agent's previous neighbors."""
-    return sum(sum(_hull_strays(traj.states[t], traj.states[t + 1],
-                                neighbor_matrix(traj.state_at(t)), tol))
-               for t in range(traj.steps))
-
-
 def check_trajectory(traj: Trajectory, delta: Optional[float] = None,
                      *, hull: bool = True) -> dict:
     """Recompute every monitor over a stored trajectory.

@@ -8,9 +8,10 @@ delta-equilibrium, and detects merge events along a trajectory.
 One ``StateAnalysis`` per state holds everything the monitors read off it:
 the neighbor mask, degrees, component labels and diameters, the capped
 energy and each agent's neighbor spread, all from one squared-distance
-matrix. Profiles are built from its mask. The independent pure-Python edge
-and merge-detection routes live in the tests as oracles, so agreement
-between this module and the dynamics stays a checked invariant.
+matrix. It is a ``Profile``: the mask is the only form in which a profile
+graph is held. The independent pure-Python edge and merge-detection routes
+live in the tests as oracles, so agreement between this module and the
+dynamics stays a checked invariant.
 """
 
 from __future__ import annotations
@@ -25,30 +26,48 @@ from .dynamics import OpinionState, squared_distances
 from .errors import NumericalFailure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Profile:
-    """Undirected epsilon-proximity graph on n agents at time t."""
+    """Undirected epsilon-proximity graph on n agents at time t, held as its
+    neighbor mask: ``mask[i, j]`` is true iff i == j or i and j are adjacent.
+    Every other graph quantity is read off the mask."""
 
     t: int
-    n: int
-    edges: frozenset  # frozenset of (i, j) tuples with i < j
-    component_ids: tuple  # component label per agent, labels are 0..m-1 by first member
+    mask: np.ndarray  # (n, n) bool, symmetric, diagonal true
+    labels: np.ndarray  # (n,) int: component per agent, numbered by first member
 
     @classmethod
     def from_edges(cls, n: int, edges, t: int = 0) -> "Profile":
         """Build a profile directly from an edge list (for graph-level checks)."""
-        norm = set()
         mask = np.eye(n, dtype=bool)
         for i, j in edges:
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bad edge ({i}, {j}) for n={n}")
-            norm.add((min(i, j), max(i, j)))
             mask[i, j] = mask[j, i] = True
-        return cls(t, n, frozenset(norm), tuple(_component_labels(mask).tolist()))
+        return cls(t, mask, _component_labels(mask))
+
+    @property
+    def n(self) -> int:
+        return self.mask.shape[0]
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """|N_i| per agent, the agent itself included."""
+        return np.count_nonzero(self.mask, axis=1)
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """The (i, j) pairs with i < j that are adjacent."""
+        i, j = np.nonzero(np.triu(self.mask, 1))
+        return frozenset(zip(i.tolist(), j.tolist()))
+
+    @cached_property
+    def component_ids(self) -> tuple:
+        return tuple(self.labels.tolist())
 
     @property
     def num_components(self) -> int:
-        return 1 + max(self.component_ids) if self.n else 0
+        return 1 + int(self.labels.max()) if self.n else 0
 
     def components(self) -> list[list[int]]:
         """Agent indices grouped by component, ordered by label."""
@@ -58,13 +77,11 @@ class Profile:
         return groups
 
     def degree(self, i: int) -> int:
-        return sum(1 for e in self.edges if i in e)
+        return int(self.degrees[i]) - 1
 
     def adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            adj[i, j] = adj[j, i] = 1.0
-        return adj
+        """0/1 adjacency matrix (float64), zero diagonal."""
+        return (self.mask & ~np.eye(self.n, dtype=bool)).astype(np.float64)
 
     def is_connected(self) -> bool:
         return self.num_components == 1
@@ -93,9 +110,10 @@ def _component_labels(mask: np.ndarray) -> np.ndarray:
     return (np.cumsum(first == np.arange(n)) - 1)[first]
 
 
-@dataclass(frozen=True)
-class StateAnalysis:
-    """The per-state quantities the monitors read, computed once.
+@dataclass(frozen=True, eq=False)
+class StateAnalysis(Profile):
+    """A state's profile plus the per-state quantities the monitors read,
+    computed once.
 
     Everything comes from one squared-distance matrix, which is not kept:
     only the neighbor mask and the scalars and vectors derived from it are.
@@ -104,11 +122,7 @@ class StateAnalysis:
     ``monitors.energy``).
     """
 
-    t: int
     x: np.ndarray  # the state's opinions (the same array, not a copy)
-    mask: np.ndarray  # (n, n) bool: the epsilon-neighbor relation, self included
-    degrees: np.ndarray  # (n,) int: |N_i|
-    labels: np.ndarray  # (n,) int: component per agent, numbered by first member
     component_diameters: list  # float per component, in label order
     diameter: float  # diameter of the whole state
     energy: float  # capped pairwise energy
@@ -117,12 +131,7 @@ class StateAnalysis:
     def spread(self) -> np.ndarray:
         """Largest distance from each agent to a neighbor (see neighbor_spread);
         computed on first use, since only the movement budgets read it."""
-        return neighbor_spread(self.x, self.mask, np.arange(self.mask.shape[0]))
-
-    def profile(self) -> Profile:
-        i, j = np.nonzero(np.triu(self.mask, 1))
-        return Profile(self.t, self.mask.shape[0], frozenset(zip(i.tolist(), j.tolist())),
-                       tuple(self.labels.tolist()))
+        return neighbor_spread(self.x, self.mask, np.arange(self.n))
 
 
 def capped_energy(d2: np.ndarray, epsilon: float) -> float:
@@ -163,13 +172,12 @@ def analyze_state(state: OpinionState) -> StateAnalysis:
     diam = float(np.sqrt(d2.max()))
     energy = capped_energy(d2, state.epsilon)
     del d2
-    return StateAnalysis(state.t, x, mask, np.count_nonzero(mask, axis=1), labels,
-                         np.sqrt(block_max).tolist(), diam, energy)
+    return StateAnalysis(state.t, mask, labels, x, np.sqrt(block_max).tolist(), diam, energy)
 
 
 def build_profile(state: OpinionState) -> Profile:
     """Profile of a state: edges exactly where the epsilon rule holds."""
-    return analyze_state(state).profile()
+    return analyze_state(state)
 
 
 def diameter(points: np.ndarray) -> float:

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import OpinionState, averaging_matrix
+from .dynamics import averaging_matrix
 from .errors import NumericalFailure, SizeLimitError
-from .profile import Profile, build_profile
+from .profile import Profile
 
 CHEEGER_MAX_N = 16
 EIGH_MAX_N = 64
@@ -28,12 +28,7 @@ EIGH_MAX_N = 64
 
 def laplacian(profile: Profile) -> np.ndarray:
     """Combinatorial Laplacian: degrees on the diagonal, -1 on edges."""
-    L = np.zeros((profile.n, profile.n))
-    for i, j in profile.edges:
-        L[i, j] = L[j, i] = -1.0
-        L[i, i] += 1.0
-        L[j, j] += 1.0
-    return L
+    return np.diag(profile.degrees - 1.0) - profile.adjacency()
 
 
 def is_generalized_laplacian(M: np.ndarray, profile: Profile) -> bool:
@@ -44,15 +39,10 @@ def is_generalized_laplacian(M: np.ndarray, profile: Profile) -> bool:
         raise ValueError(f"matrix shape {M.shape} does not match n={profile.n}")
     if float(np.abs(M - M.T).max(initial=0.0)) > 1e-12:
         raise ValueError("matrix must be symmetric within 1e-12")
-    edges = profile.edges
-    for i in range(profile.n):
-        for j in range(i + 1, profile.n):
-            if (i, j) in edges:
-                if not (M[i, j] < 0.0):
-                    return False
-            elif M[i, j] != 0.0:
-                return False
-    return True
+    # symmetry holds within 1e-12, so the strict upper triangle decides
+    edges = np.triu(profile.mask, 1)
+    gaps = np.triu(~profile.mask, 1)
+    return bool(np.all(M[edges] < 0.0) and np.all(M[gaps] == 0.0))
 
 
 def eigh(M: np.ndarray, *, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
@@ -132,86 +122,6 @@ def eigh(M: np.ndarray, *, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray
     return w, V
 
 
-def eigh_batch(mats: np.ndarray, *, sweeps: int = 14) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi over a stack of small symmetric matrices at once.
-
-    Same rotation schedule and formulas as :func:`eigh`, vectorized across
-    the batch axis so exhaustive graph sweeps stay cheap. Returns
-    (eigenvalues (B, n) ascending, eigenvector columns (B, n, n)). Runs a
-    fixed number of sweeps (quadratic convergence makes 14 ample for
-    n <= 16) and raises NumericalFailure if any matrix still has
-    off-diagonal mass afterwards.
-    """
-    A = np.array(mats, dtype=np.float64)
-    if A.ndim != 3 or A.shape[1] != A.shape[2]:
-        raise ValueError(f"need a (B, n, n) stack, got shape {A.shape}")
-    B, n, _ = A.shape
-    if n > CHEEGER_MAX_N:
-        raise SizeLimitError(f"batched Jacobi intended for n <= {CHEEGER_MAX_N}, got {n}")
-    scale = np.abs(A).max(axis=(1, 2))
-    if float(np.abs(A - A.transpose(0, 2, 1)).max(initial=0.0)) > 1e-10 * max(scale.max(initial=0.0), 1.0):
-        raise ValueError("matrices must be symmetric within 1e-10")
-    A = (A + A.transpose(0, 2, 1)) / 2.0
-    V = np.broadcast_to(np.eye(n), (B, n, n)).copy()
-    if n == 1:
-        return A[:, 0, :].copy(), V
-    lanes = np.arange(B)
-    for _ in range(sweeps):
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[:, p, q]
-                rotate = np.abs(apq) > 1e-300
-                if not rotate.any():
-                    continue
-                theta = np.zeros(B)
-                np.divide(A[:, q, q] - A[:, p, p], 2.0 * apq, out=theta, where=rotate)
-                t = np.sign(theta) + (theta == 0.0)  # sign with 0 -> +1
-                with np.errstate(over="ignore"):
-                    t /= np.abs(theta) + np.sqrt(1.0 + theta * theta)
-                big = np.abs(theta) > 1e150  # sqrt would overflow; use t ~ 1/(2 theta)
-                if big.any():
-                    with np.errstate(divide="ignore"):
-                        t = np.where(big, 0.5 / theta, t)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                c = np.where(rotate, c, 1.0)
-                s = np.where(rotate, s, 0.0)
-                col_p = A[:, :, p].copy()
-                col_q = A[:, :, q].copy()
-                A[:, :, p] = c[:, None] * col_p - s[:, None] * col_q
-                A[:, :, q] = s[:, None] * col_p + c[:, None] * col_q
-                row_p = A[:, p, :].copy()
-                row_q = A[:, q, :].copy()
-                A[:, p, :] = c[:, None] * row_p - s[:, None] * row_q
-                A[:, q, :] = s[:, None] * row_p + c[:, None] * row_q
-                A[:, p, q] = np.where(rotate, 0.0, A[:, p, q])
-                A[:, q, p] = A[:, p, q]
-                vec_p = V[:, :, p].copy()
-                vec_q = V[:, :, q].copy()
-                V[:, :, p] = c[:, None] * vec_p - s[:, None] * vec_q
-                V[:, :, q] = s[:, None] * vec_p + c[:, None] * vec_q
-    off = A.copy()
-    off[:, np.arange(n), np.arange(n)] = 0.0
-    worst = np.abs(off).max(axis=(1, 2))
-    bad = worst > 1e-10 * np.maximum(scale, 1e-300)
-    if bad.any():
-        raise NumericalFailure(
-            f"batched Jacobi left {int(bad.sum())} matrices unconverged "
-            f"(worst off-diagonal {float(worst.max())})",
-            best=None, gap=float(worst.max()),
-        )
-    w = A[:, np.arange(n), np.arange(n)]
-    order = np.argsort(w, axis=1, kind="stable")
-    w = np.take_along_axis(w, order, axis=1)
-    V = np.take_along_axis(V, order[:, None, :], axis=2)
-    # canonical signs: largest-magnitude entry of each column positive
-    idx = np.argmax(np.abs(V), axis=1)
-    signs = np.sign(V[lanes[:, None], idx, np.arange(n)[None, :]])
-    signs[signs == 0.0] = 1.0
-    V = V * signs[:, None, :]
-    return w, V
-
-
 def _popcounts(masks: np.ndarray, n: int) -> np.ndarray:
     pop = np.zeros_like(masks)
     for b in range(n):
@@ -261,7 +171,7 @@ class SpectralReport:
             "n": int(self.laplacian.shape[0]),
             "eigenvalues": [float(v) for v in self.eigenvalues],
             "lambda2": None if self.lambda2 is None else float(self.lambda2),
-            "cheeger": self.cheeger,
+            "cheeger": self.cheeger if np.isfinite(self.cheeger) else None,
             "max_degree": self.max_degree,
             "verdicts": dict(self.verdicts),
             "notes": list(self.notes),
@@ -281,8 +191,7 @@ def check_cheeger(profile: Profile) -> SpectralReport:
     n = profile.n
     notes = []
     i_g = cheeger_constant(profile)
-    degs = [profile.degree(i) for i in range(n)]
-    max_deg = max(degs) if degs else 0
+    max_deg = int(profile.degrees.max()) - 1
     if n == 1:
         verdicts = {"cheeger_upper": True, "cheeger_lower": True, "connectivity_gap": True}
         notes.append("n=1: no admissible cut subset; sandwich vacuous")
@@ -314,26 +223,15 @@ class UpdateFactorization:
     residual: float
 
 
-def _averaging_from_profile(profile: Profile) -> np.ndarray:
-    adj = profile.adjacency() + np.eye(profile.n)
-    return adj / adj.sum(axis=1)[:, None]
-
-
-def update_factorization(source, alpha: np.ndarray) -> UpdateFactorization:
+def update_factorization(profile: Profile, alpha: np.ndarray) -> UpdateFactorization:
     """Verify I - B = (I - diag(alpha)) (I + D)^(-1) L for one step operator.
 
-    ``source`` may be an OpinionState (profile is built from it) or a Profile
-    (graph-level check; B is then assembled from the profile's averaging
-    matrix). Requires every alpha_i < 1 so the stubbornness factor is
-    invertible. The identity is exact algebra; the reported residual only
-    measures rounding (<= 1e-12 on any desk-scale input).
+    B is assembled from the profile's averaging matrix (``build_profile``
+    gives the profile of a state). Requires every alpha_i < 1 so the
+    stubbornness factor is invertible. The identity is exact algebra; the
+    reported residual only measures rounding (<= 1e-12 on any desk-scale
+    input).
     """
-    if isinstance(source, OpinionState):
-        profile = build_profile(source)
-        A = averaging_matrix(source)
-    else:
-        profile = source
-        A = _averaging_from_profile(profile)
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (profile.n,):
         raise ValueError(f"alpha has shape {alpha.shape}, expected ({profile.n},)")
@@ -342,17 +240,16 @@ def update_factorization(source, alpha: np.ndarray) -> UpdateFactorization:
                          "(stubbornness factor must be invertible)")
     n = profile.n
     stub = np.diag(1.0 - alpha)
-    degs = np.array([profile.degree(i) for i in range(n)], dtype=np.float64)
-    deg_inv = np.diag(1.0 / (1.0 + degs))
+    deg_inv = np.diag(1.0 / profile.degrees)  # 1 / (1 + degree_i)
     L = laplacian(profile)
-    B = np.diag(alpha) + stub @ A
+    B = np.diag(alpha) + stub @ averaging_matrix(profile.mask)
     I_minus_B = np.eye(n) - B
     product = stub @ deg_inv @ L
     residual = float(np.abs(I_minus_B - product).max())
     return UpdateFactorization(I_minus_B, stub, deg_inv, L, residual)
 
 
-def lambda2_chain_check(source, alpha: np.ndarray, *, samples: int = 1000,
+def lambda2_chain_check(profile: Profile, alpha: np.ndarray, *, samples: int = 1000,
                         seed: int = 0) -> dict:
     """Numerically verify the eigenvalue chain behind the displacement bound.
 
@@ -367,8 +264,7 @@ def lambda2_chain_check(source, alpha: np.ndarray, *, samples: int = 1000,
     Raises ValueError for disconnected profiles (0 would not be simple) and
     SizeLimitError beyond n = 16.
     """
-    fact = update_factorization(source, alpha)
-    profile = source if isinstance(source, Profile) else build_profile(source)
+    fact = update_factorization(profile, alpha)
     n = profile.n
     if n < 2:
         raise ValueError("eigenvalue chain needs at least two agents")

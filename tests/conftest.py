@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from mixedhk.errors import NumericalFailure, SizeLimitError
+from mixedhk.spectral import CHEEGER_MAX_N
+
 
 def oracle_hk_step(x: list, eps: float) -> list:
     """Plain synchronous averaging step (everyone fully open-minded), coded
@@ -201,3 +204,129 @@ def oracle_movement_budget(traj, agent: int, slack: float = 1e-12) -> tuple:
         sums.append(running)
         ok.append(good)
     return tuple(terms), tuple(sums), tuple(ok), violations
+
+
+# Graph oracles: the edge-set routes for the Laplacian, the adjacency and
+# averaging matrices and the generalized-Laplacian predicate, one loop over
+# edges or vertex pairs each. The package reads all of them off the mask.
+
+def oracle_laplacian(profile) -> np.ndarray:
+    """Combinatorial Laplacian accumulated edge by edge."""
+    L = np.zeros((profile.n, profile.n))
+    for i, j in profile.edges:
+        L[i, j] = L[j, i] = -1.0
+        L[i, i] += 1.0
+        L[j, j] += 1.0
+    return L
+
+
+def oracle_adjacency(profile) -> np.ndarray:
+    adj = np.zeros((profile.n, profile.n))
+    for i, j in profile.edges:
+        adj[i, j] = adj[j, i] = 1.0
+    return adj
+
+
+def oracle_averaging(profile) -> np.ndarray:
+    """Averaging matrix of a profile: (adjacency + I) over its row sums."""
+    adj = oracle_adjacency(profile) + np.eye(profile.n)
+    return adj / adj.sum(axis=1)[:, None]
+
+
+def oracle_is_generalized_laplacian(M: np.ndarray, profile) -> bool:
+    """Pairwise generalized-Laplacian predicate, after the same shape and
+    symmetry checks as the package."""
+    M = np.asarray(M, dtype=np.float64)
+    if M.shape != (profile.n, profile.n):
+        raise ValueError(f"matrix shape {M.shape} does not match n={profile.n}")
+    if float(np.abs(M - M.T).max(initial=0.0)) > 1e-12:
+        raise ValueError("matrix must be symmetric within 1e-12")
+    edges = profile.edges
+    for i in range(profile.n):
+        for j in range(i + 1, profile.n):
+            if (i, j) in edges:
+                if not (M[i, j] < 0.0):
+                    return False
+            elif M[i, j] != 0.0:
+                return False
+    return True
+
+
+def eigh_batch(mats: np.ndarray, *, sweeps: int = 14) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi over a stack of small symmetric matrices at once.
+
+    Same rotation schedule and formulas as ``mixedhk.spectral.eigh``, vectorized across
+    the batch axis so exhaustive graph sweeps stay cheap. Returns
+    (eigenvalues (B, n) ascending, eigenvector columns (B, n, n)). Runs a
+    fixed number of sweeps (quadratic convergence makes 14 ample for
+    n <= 16) and raises NumericalFailure if any matrix still has
+    off-diagonal mass afterwards.
+    """
+    A = np.array(mats, dtype=np.float64)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise ValueError(f"need a (B, n, n) stack, got shape {A.shape}")
+    B, n, _ = A.shape
+    if n > CHEEGER_MAX_N:
+        raise SizeLimitError(f"batched Jacobi intended for n <= {CHEEGER_MAX_N}, got {n}")
+    scale = np.abs(A).max(axis=(1, 2))
+    if float(np.abs(A - A.transpose(0, 2, 1)).max(initial=0.0)) > 1e-10 * max(scale.max(initial=0.0), 1.0):
+        raise ValueError("matrices must be symmetric within 1e-10")
+    A = (A + A.transpose(0, 2, 1)) / 2.0
+    V = np.broadcast_to(np.eye(n), (B, n, n)).copy()
+    if n == 1:
+        return A[:, 0, :].copy(), V
+    lanes = np.arange(B)
+    for _ in range(sweeps):
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[:, p, q]
+                rotate = np.abs(apq) > 1e-300
+                if not rotate.any():
+                    continue
+                theta = np.zeros(B)
+                np.divide(A[:, q, q] - A[:, p, p], 2.0 * apq, out=theta, where=rotate)
+                t = np.sign(theta) + (theta == 0.0)  # sign with 0 -> +1
+                with np.errstate(over="ignore"):
+                    t /= np.abs(theta) + np.sqrt(1.0 + theta * theta)
+                big = np.abs(theta) > 1e150  # sqrt would overflow; use t ~ 1/(2 theta)
+                if big.any():
+                    with np.errstate(divide="ignore"):
+                        t = np.where(big, 0.5 / theta, t)
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                c = np.where(rotate, c, 1.0)
+                s = np.where(rotate, s, 0.0)
+                col_p = A[:, :, p].copy()
+                col_q = A[:, :, q].copy()
+                A[:, :, p] = c[:, None] * col_p - s[:, None] * col_q
+                A[:, :, q] = s[:, None] * col_p + c[:, None] * col_q
+                row_p = A[:, p, :].copy()
+                row_q = A[:, q, :].copy()
+                A[:, p, :] = c[:, None] * row_p - s[:, None] * row_q
+                A[:, q, :] = s[:, None] * row_p + c[:, None] * row_q
+                A[:, p, q] = np.where(rotate, 0.0, A[:, p, q])
+                A[:, q, p] = A[:, p, q]
+                vec_p = V[:, :, p].copy()
+                vec_q = V[:, :, q].copy()
+                V[:, :, p] = c[:, None] * vec_p - s[:, None] * vec_q
+                V[:, :, q] = s[:, None] * vec_p + c[:, None] * vec_q
+    off = A.copy()
+    off[:, np.arange(n), np.arange(n)] = 0.0
+    worst = np.abs(off).max(axis=(1, 2))
+    bad = worst > 1e-10 * np.maximum(scale, 1e-300)
+    if bad.any():
+        raise NumericalFailure(
+            f"batched Jacobi left {int(bad.sum())} matrices unconverged "
+            f"(worst off-diagonal {float(worst.max())})",
+            best=None, gap=float(worst.max()),
+        )
+    w = A[:, np.arange(n), np.arange(n)]
+    order = np.argsort(w, axis=1, kind="stable")
+    w = np.take_along_axis(w, order, axis=1)
+    V = np.take_along_axis(V, order[:, None, :], axis=2)
+    # canonical signs: largest-magnitude entry of each column positive
+    idx = np.argmax(np.abs(V), axis=1)
+    signs = np.sign(V[lanes[:, None], idx, np.arange(n)[None, :]])
+    signs[signs == 0.0] = 1.0
+    V = V * signs[:, None, :]
+    return w, V

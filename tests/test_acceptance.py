@@ -33,8 +33,8 @@ from mixedhk import (
     verify_decomposition,
     write_trajectory,
 )
-from mixedhk.spectral import eigh, eigh_batch
-from conftest import is_connected_edges, oracle_hk_step, random_alpha, random_opinions
+from mixedhk.spectral import eigh
+from conftest import eigh_batch, is_connected_edges, oracle_hk_step, random_alpha, random_opinions
 
 
 def report(k: int, ok: bool, detail: str):

@@ -32,6 +32,30 @@ def test_state_validation():
         OpinionState(-1, np.zeros((2, 2)), 1.0)
 
 
+class TestNumericDomain:
+    def config(self, initial, epsilon):
+        return ModelConfig(initial=np.array(initial), epsilon=epsilon,
+                           schedule=StubbornnessSchedule("synchronous"), max_steps=5)
+
+    def test_epsilon_squared_must_be_normal(self):
+        # 1e-310 squared underflows to 0: agents 1e-300 apart would be neighbors
+        with pytest.raises(ValueError, match="epsilon"):
+            self.config([[0.0], [1e-300]], 1e-310)
+        with pytest.raises(ValueError, match="epsilon"):
+            self.config([[0.0], [1.0]], 1e160)  # squares to inf
+        self.config([[0.0], [1e-300]], 1e-150)
+        self.config([[0.0], [1.0]], 1e150)
+
+    def test_squared_spread_must_be_finite(self):
+        # the squared distance of these two opinions overflows to inf
+        with pytest.raises(ValueError, match="overflow"):
+            self.config([[1e200], [-1e200]], 1.0)
+        with pytest.raises(ValueError, match="overflow"):
+            self.config([[1e154, 0.0], [0.0, 1e154]], 1.0)  # finite per coordinate, not summed
+        self.config([[1e150], [-1e150]], 1.0)
+        self.config([[1e154], [0.0]], 1.0)  # squared range 1e308 is still finite
+
+
 class TestNeighborhoods:
     def test_boundary_distance_is_neighbor(self):
         eps = 0.7
@@ -66,16 +90,16 @@ class TestNeighborhoods:
 class TestAveragingMatrix:
     def test_two_mutual(self):
         st = OpinionState(0, np.array([[0.0], [0.5]]), 1.0)
-        assert np.array_equal(averaging_matrix(st), np.full((2, 2), 0.5))
+        assert np.array_equal(averaging_matrix(neighbor_matrix(st)), np.full((2, 2), 0.5))
 
     def test_example_profile(self):
         st = OpinionState(0, np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]), 1.0)
         expected = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
-        assert np.array_equal(averaging_matrix(st), expected)
+        assert np.array_equal(averaging_matrix(neighbor_matrix(st)), expected)
 
     def test_isolated_row_is_unit_vector(self):
         st = OpinionState(0, np.array([[0.0], [10.0]]), 1.0)
-        assert np.array_equal(averaging_matrix(st), np.eye(2))
+        assert np.array_equal(averaging_matrix(neighbor_matrix(st)), np.eye(2))
 
     def test_rows_stochastic_and_support_matches(self):
         rng = np.random.default_rng(11)
@@ -83,8 +107,8 @@ class TestAveragingMatrix:
             n = int(rng.integers(1, 12))
             st = OpinionState(0, random_opinions(rng, n, int(rng.integers(1, 4))),
                               float(rng.uniform(0.2, 2.5)))
-            A = averaging_matrix(st)
             mask = neighbor_matrix(st)
+            A = averaging_matrix(mask)
             assert np.abs(A.sum(axis=1) - 1.0).max() <= 1e-15
             assert np.array_equal(A > 0, mask)
             assert np.all(np.diag(A) >= 1.0 / n)

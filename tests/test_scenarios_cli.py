@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +48,27 @@ def sync_config(tmp_path):
         encoding="utf-8",
     )
     return path
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Patch every binding of ``fn`` in the mixedhk modules with a wrapper
+    that counts its calls; returns the one-element counter."""
+    count = [0]
+
+    def wrapper(*args, **kwargs):
+        count[0] += 1
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "mixedhk" or name.startswith("mixedhk.")):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return count
+
+
+def reject_constant(name):
+    raise ValueError(f"report is not strict JSON: it contains {name}")
 
 
 class TestCli:
@@ -118,6 +140,46 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         assert "skipped" in report["lambda2_chain"]
+
+    def test_spectral_analyzes_the_state_once(self, sync_config, capsys, monkeypatch):
+        import mixedhk.dynamics
+        import mixedhk.profile
+
+        analyses = count_calls(monkeypatch, mixedhk.profile.analyze_state)
+        masks = count_calls(monkeypatch, mixedhk.dynamics.neighbor_matrix)
+        assert main(["spectral", "--config", str(sync_config), "--alpha", "0,0,0,0"]) == 0
+        assert (analyses, masks) == ([1], [0])
+
+    def test_single_agent_spectral_report_is_strict_json(self, tmp_path, capsys):
+        # the Cheeger constant of one agent is +inf (a minimum over no subsets)
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(
+            "n = 1\nd = 1\nepsilon = 1.0\nmax_steps = 5\n"
+            "[schedule]\nkind = synchronous\n"
+            "[initial]\nsource = inline\nrow.0 = 0.0\n",
+            encoding="utf-8",
+        )
+        assert main(["spectral", "--config", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert report["cheeger"] is None
+
+    @pytest.mark.parametrize("epsilon, states", [
+        (1e-310, [[[0.0], [1e-300]], [[0.0], [1e-300]]]),  # epsilon**2 underflows
+        (1.0, [[[1e200], [-1e200]], [[1e200], [-1e200]]]),  # squared distances overflow
+    ])
+    def test_check_rejects_states_outside_the_numeric_domain(self, tmp_path, capsys,
+                                                             epsilon, states):
+        from mixedhk import Trajectory, write_trajectory
+
+        traj = Trajectory(n=2, d=1, epsilon=epsilon, schedule={"kind": "synchronous"},
+                          seed=0, states=[np.array(x) for x in states],
+                          alphas=[np.zeros(2)], stop_reason="steady")
+        path = tmp_path / "outside.csv"
+        write_trajectory(traj, path)
+        assert main(["check", "--trajectory", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
     def test_scenario_subcommand(self, capsys):
         assert main(["scenario", "--list"]) == 0

@@ -8,6 +8,7 @@ from mixedhk import (
     OpinionState,
     Profile,
     SizeLimitError,
+    build_profile,
     cheeger_constant,
     check_cheeger,
     eigh,
@@ -16,8 +17,19 @@ from mixedhk import (
     laplacian,
     update_factorization,
 )
-from mixedhk.spectral import eigh_batch
-from conftest import all_graphs, connected_graphs, is_connected_edges
+from mixedhk.dynamics import averaging_matrix
+from conftest import (
+    all_graphs,
+    connected_graphs,
+    eigh_batch,
+    is_connected_edges,
+    oracle_adjacency,
+    oracle_averaging,
+    oracle_is_generalized_laplacian,
+    oracle_laplacian,
+    oracle_profile,
+    random_opinions,
+)
 
 
 def k2():
@@ -70,6 +82,14 @@ class TestGeneralizedLaplacian:
         M = np.array([[1.0, -1.0], [-0.5, 1.0]])
         with pytest.raises(ValueError):
             is_generalized_laplacian(M, prof)
+
+    def test_below_diagonal_slack_is_not_judged(self):
+        prof = p3()
+        M = laplacian(prof)
+        M[2, 0] = 5e-13  # (0, 2) is no edge; only the upper entry is judged
+        assert is_generalized_laplacian(M, prof)
+        M[0, 2] = 5e-13
+        assert not is_generalized_laplacian(M, prof)
 
 
 class TestEigh:
@@ -227,14 +247,14 @@ class TestUpdateFactorization:
     def test_synchronous_complete_profile(self):
         n = 4
         st = OpinionState(0, np.zeros((n, 2)), 1.0)  # all equal: complete graph
-        fact = update_factorization(st, np.zeros(n))
+        fact = update_factorization(build_profile(st), np.zeros(n))
         expected = np.eye(n) - np.full((n, n), 1.0 / n)
         assert np.abs(fact.I_minus_B - expected).max() <= 1e-15
         assert fact.residual <= 1e-12
 
     def test_isolated_agent_zero_row(self):
         st = OpinionState(0, np.array([[0.0], [10.0]]), 1.0)
-        fact = update_factorization(st, np.array([0.3, 0.3]))
+        fact = update_factorization(build_profile(st), np.array([0.3, 0.3]))
         assert np.abs(fact.I_minus_B[0]).max() == 0.0
         assert np.abs(fact.I_minus_B[1]).max() == 0.0
 
@@ -245,12 +265,12 @@ class TestUpdateFactorization:
             st = OpinionState(0, rng.uniform(-1, 1, size=(n, int(rng.integers(1, 4)))),
                               float(rng.uniform(0.3, 2.0)))
             alpha = rng.uniform(0.0, 0.999, size=n)
-            assert update_factorization(st, alpha).residual <= 1e-12
+            assert update_factorization(build_profile(st), alpha).residual <= 1e-12
 
     def test_alpha_one_rejected(self):
         st = OpinionState(0, np.zeros((2, 1)), 1.0)
         with pytest.raises(ValueError):
-            update_factorization(st, np.array([1.0, 0.0]))
+            update_factorization(build_profile(st), np.array([1.0, 0.0]))
 
 
 class TestChainCheck:
@@ -305,3 +325,60 @@ class TestChainCheck:
             assert w[1] - w[0] > 1e-9  # simple
             assert np.all(V[:, 0] > 0.0)
             done += 1
+
+
+def graph_profiles():
+    """Every labeled graph on at most 5 vertices, then profiles of random
+    states, each checked against its independently known edge set."""
+    for n in range(1, 6):
+        for edges in all_graphs(n):
+            prof = Profile.from_edges(n, edges)
+            assert prof.edges == frozenset(edges)
+            yield prof
+    rng = np.random.default_rng(61)
+    for _ in range(100):
+        n = int(rng.integers(1, 13))
+        state = OpinionState(0, random_opinions(rng, n, int(rng.integers(1, 4))),
+                             float(rng.uniform(0.2, 2.0)))
+        prof = build_profile(state)
+        assert prof.edges == frozenset(oracle_profile(state.x, state.epsilon)[0])
+        yield prof
+
+
+class TestMaskAgainstEdgeOracles:
+    """Graph quantities read off the mask equal the edge-loop routes bit for bit."""
+
+    def test_matrices_and_degrees(self):
+        for prof in graph_profiles():
+            assert laplacian(prof).tobytes() == oracle_laplacian(prof).tobytes()
+            assert prof.adjacency().tobytes() == oracle_adjacency(prof).tobytes()
+            assert averaging_matrix(prof.mask).tobytes() == oracle_averaging(prof).tobytes()
+            assert [prof.degree(i) for i in range(prof.n)] == [
+                sum(i in e for e in prof.edges) for i in range(prof.n)]
+
+    def test_generalized_laplacian_predicate(self):
+        rng = np.random.default_rng(67)
+        for prof in graph_profiles():
+            n = prof.n
+            L = laplacian(prof)
+            candidates = [L, L + np.diag(rng.uniform(-2.0, 2.0, size=n))]
+            gaps = [(i, j) for i in range(n) for j in range(i + 1, n)
+                    if (i, j) not in prof.edges]
+            if prof.edges:
+                i, j = min(prof.edges)
+                for value in (0.0, 0.5, np.nan):
+                    M = L.copy()
+                    M[i, j] = M[j, i] = value
+                    candidates.append(M)
+            if gaps:
+                i, j = gaps[-1]
+                for value in (-0.5, -0.0, 1e-300):
+                    M = L.copy()
+                    M[i, j] = M[j, i] = value
+                    candidates.append(M)
+                # asymmetric within 1e-12, below the diagonal only
+                M = L.copy()
+                M[j, i] = 5e-13
+                candidates.append(M)
+            for M in candidates:
+                assert is_generalized_laplacian(M, prof) == oracle_is_generalized_laplacian(M, prof)
