@@ -20,6 +20,7 @@ from .errors import (
 )
 from .matching import MatchedForm, match_decomposition, verify_decomposition
 from .monitors import (
+    Checker,
     ContractionVerdict,
     FloorVerdict,
     MovementBudget,

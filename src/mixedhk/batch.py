@@ -8,15 +8,16 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import ModelConfig
-from .monitors import check_trajectory
+from .monitors import Checker
 from .simulate import simulate
 
 
 def _one_run(config: ModelConfig, seed: int, delta: Optional[float], hull: bool) -> dict:
-    # check_trajectory recomputes everything read below, so simulate records nothing
+    # the checker verifies each step as it is made, so simulate records nothing
     cfg = replace(config, seed=seed, initial=config.initial.copy(), monitors=())
-    traj = simulate(cfg)
-    report = check_trajectory(traj, delta, hull=hull)
+    checker = Checker(cfg.epsilon, delta, hull=hull)
+    traj = simulate(cfg, checker)
+    report = checker.report(traj)
     single_mover_bad = 0
     if cfg.schedule.kind == "asynchronous":
         for t in range(traj.steps):

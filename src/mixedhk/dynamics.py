@@ -25,8 +25,10 @@ an independent implementation):
 
 Numeric domain (``OpinionState`` rejects anything outside it): epsilon**2 is
 a normal float, so the predicate never compares against an underflowed or
-overflowed bound, and the sum over coordinates of the squared range of the
-opinions is finite, so no squared distance overflows.
+overflowed bound; n*n*epsilon**2 is finite, so no capped energy (a sum of
+n*n terms of at most epsilon**2) overflows; and the sum over coordinates of
+the squared range of the opinions is finite, so no squared distance
+overflows.
 """
 
 from __future__ import annotations
@@ -63,6 +65,11 @@ class OpinionState:
         if not (_TINY <= self.epsilon * self.epsilon <= _HUGE):
             raise ValueError(f"epsilon**2 must be a normal float (so the neighbor "
                              f"predicate compares exactly), got epsilon={self.epsilon}")
+        # a capped energy sums n*n terms of at most epsilon**2 (factor 2 of rounding headroom)
+        n = x.shape[0]
+        if 2.0 * n * n * (self.epsilon * self.epsilon) > _HUGE:
+            raise ValueError(f"epsilon={self.epsilon} is too large for {n} agents: "
+                             f"n*n*epsilon**2 must be finite, so no capped energy overflows")
         # every coordinate range is at most 2 max|x|, so small opinions skip the
         # slower exact test of the summed squared ranges (factor 2 of rounding headroom)
         reach = float(np.abs(x).max())

@@ -20,12 +20,14 @@ surrogate and says so; a verdict here is evidence, not proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .dynamics import OpinionState, neighbor_matrix, squared_distances
+from .errors import IntegrityError
 from .profile import (StateAnalysis, analyze_state, capped_energy, detect_merge_events, diameter,
                       hull_distance, neighbor_spread)
 from .trajectory import Trajectory
@@ -33,10 +35,6 @@ from .trajectory import Trajectory
 ENERGY_SLACK = 1e-9  # relative to n^2 eps^2
 DIAM_SLACK = 1e-12  # absolute, diameters are O(eps) at desk scale
 HULL_TOL = 1e-12  # absolute, distance of a new opinion from its neighbors' hull
-
-
-def _analysis(state: OpinionState, analysis: Optional[StateAnalysis]) -> StateAnalysis:
-    return analyze_state(state) if analysis is None else analysis
 
 
 def _analyses(traj: Trajectory):
@@ -49,17 +47,20 @@ def energy(state: OpinionState) -> float:
     return capped_energy(squared_distances(state.x), state.epsilon)
 
 
-def energy_drop_bound(state: OpinionState, next_state: OpinionState, alpha: np.ndarray,
-                      *, analysis: Optional[StateAnalysis] = None) -> float:
+def energy_drop_bound(state: OpinionState, next_state: OpinionState, alpha: np.ndarray) -> float:
     """Lower bound on Z(t) - Z(t+1) in terms of per-agent displacements.
 
     The coefficient of agent i's squared displacement is
     4 * (1 + |N_i| * alpha_i / (1 - alpha_i)) for alpha_i < 1 and plain 4 at
     alpha_i = 1 (where the displacement is identically zero anyway).
     """
+    return _drop_bound(state, next_state, alpha, analyze_state(state))
+
+
+def _drop_bound(state: OpinionState, next_state: OpinionState, alpha: np.ndarray,
+                now: StateAnalysis) -> float:
     alpha = np.asarray(alpha, dtype=np.float64)
-    degrees = neighbor_matrix(state).sum(axis=1) if analysis is None else analysis.degrees
-    counts = degrees.astype(np.float64)
+    counts = now.degrees.astype(np.float64)
     disp_sq = ((next_state.x - state.x) ** 2).sum(axis=1)
     coeff = np.ones(state.n)
     movable = alpha < 1.0
@@ -99,13 +100,16 @@ class ContractionVerdict:
     diam_after: float
 
 
-def contraction_check(state: OpinionState, next_state: OpinionState, alpha: np.ndarray,
-                      *, analysis: Optional[StateAnalysis] = None,
-                      next_analysis: Optional[StateAnalysis] = None) -> ContractionVerdict:
+def contraction_check(state: OpinionState, next_state: OpinionState,
+                      alpha: np.ndarray) -> ContractionVerdict:
     """Check diam(t+1) <= beta * diam(t) on epsilon-trivial profiles and the
     unconditional non-expansion diam(t+1) <= diam(t)."""
-    d_before = diameter(state.x) if analysis is None else analysis.diameter
-    d_after = diameter(next_state.x) if next_analysis is None else next_analysis.diameter
+    return _contraction(state, alpha, analyze_state(state), analyze_state(next_state))
+
+
+def _contraction(state: OpinionState, alpha: np.ndarray, now: StateAnalysis,
+                 nxt: StateAnalysis) -> ContractionVerdict:
+    d_before, d_after = now.diameter, nxt.diameter
     nonexp = d_after <= d_before + DIAM_SLACK
     if state.n >= 2 and d_before <= state.epsilon:
         coeff = contraction_coefficient(alpha)
@@ -173,17 +177,22 @@ def _hull_strays(x: np.ndarray, next_x: np.ndarray, mask: np.ndarray, tol: float
 
 def compute_step_metrics(state: OpinionState, next_state: OpinionState,
                          alpha: np.ndarray, *, interaction: bool = False,
-                         hull: bool = False, analysis: Optional[StateAnalysis] = None,
-                         next_analysis: Optional[StateAnalysis] = None) -> StepMetrics:
+                         hull: bool = False) -> StepMetrics:
     """Evaluate the per-step monitors for one transition."""
-    now = _analysis(state, analysis)
-    nxt = _analysis(next_state, next_analysis)
+    return _step_metrics(state, next_state, alpha, analyze_state(state),
+                         analyze_state(next_state), interaction=interaction, hull=hull)
+
+
+def _step_metrics(state: OpinionState, next_state: OpinionState, alpha: np.ndarray,
+                  now: StateAnalysis, nxt: StateAnalysis, *, interaction: bool,
+                  hull: bool) -> StepMetrics:
+    """compute_step_metrics from the analyses of both states."""
     z_now = now.energy
     z_next = nxt.energy
     drop = z_now - z_next
-    bound = energy_drop_bound(state, next_state, alpha, analysis=now)
+    bound = _drop_bound(state, next_state, alpha, now)
     slack = ENERGY_SLACK * state.n**2 * state.epsilon**2
-    cv = contraction_check(state, next_state, alpha, analysis=now, next_analysis=nxt)
+    cv = _contraction(state, alpha, now, nxt)
     disp_sq = ((next_state.x - state.x) ** 2).sum(axis=1)
     return StepMetrics(
         t=state.t,
@@ -307,8 +316,7 @@ class FloorVerdict:
 
 
 def displacement_floor_check(state: OpinionState, next_state: OpinionState,
-                             alpha: np.ndarray, delta: float, *,
-                             analysis: Optional[StateAnalysis] = None) -> FloorVerdict:
+                             alpha: np.ndarray, delta: float) -> FloorVerdict:
     """Check sum_i ||x_i(t) - x_i(t+1)||^2 > 2 delta^2 (1 - max alpha)^2 / n^8.
 
     Applicable whenever some component of the current profile is
@@ -317,13 +325,17 @@ def displacement_floor_check(state: OpinionState, next_state: OpinionState,
     the component size and its maximum stubbornness only tighten the bound).
     Inapplicable steps return an explicit not-applicable verdict.
     """
+    return _floor(state, next_state, alpha, delta, analyze_state(state))
+
+
+def _floor(state: OpinionState, next_state: OpinionState, alpha: np.ndarray, delta: float,
+           now: StateAnalysis) -> FloorVerdict:
     if not (delta > 0):
         raise ValueError(f"delta must be positive, got {delta}")
     alpha = np.asarray(alpha, dtype=np.float64)
     if np.any(alpha >= 1.0):
         return FloorVerdict(False, None, None, None, "some alpha_i = 1")
-    diams = _analysis(state, analysis).component_diameters
-    if all(dm <= delta for dm in diams):
+    if all(dm <= delta for dm in now.component_diameters):
         return FloorVerdict(False, None, None, None, "every component delta-trivial")
     n = state.n
     lhs = float(((next_state.x - state.x) ** 2).sum())
@@ -349,12 +361,17 @@ def settling_bounds(n: int, epsilon: float, delta: float, sup_alpha: float) -> t
     """Closed-form bounds: the settling-time bound
     n^10 (eps/delta)^2 / (8 (1 - sup_alpha)^2) and the bound
     n^10 / (2 (1 - sup_alpha)^2) on how many first-interaction times can occur.
+    The settling-time bound is inf where it exceeds the float range.
     """
     if not (0.0 <= sup_alpha < 1.0):
         raise ValueError(f"bounds need sup_alpha in [0, 1), got {sup_alpha}")
     if not (0.0 < delta <= epsilon):
         raise ValueError(f"bounds need 0 < delta <= epsilon, got delta={delta}, epsilon={epsilon}")
-    tau_bound = n**10 / (8.0 * (1.0 - sup_alpha) ** 2) * (epsilon / delta) ** 2
+    try:
+        ratio2 = (epsilon / delta) ** 2
+    except OverflowError:
+        ratio2 = math.inf
+    tau_bound = n**10 / (8.0 * (1.0 - sup_alpha) ** 2) * ratio2
     interaction_bound = n**10 / (2.0 * (1.0 - sup_alpha) ** 2)
     return tau_bound, interaction_bound
 
@@ -437,79 +454,113 @@ def _interaction_times(epsilon: float, comp_cache: list, m_max: int) -> list[int
     return sorted(times)
 
 
+class Checker:
+    """Streaming verification: every monitor of ``check_trajectory``, fed one
+    transition at a time, so a run can be checked while it is simulated.
+
+    ``push`` takes each step's two states, alpha(t) and both states'
+    analyses; ``report`` builds the check report. Of the analyses the
+    checker keeps only the latest, so with the caller's next one at most
+    two n-by-n masks are alive. Besides the violation counters it keeps
+    O(n) values per step: the step's record, the component diameters (for
+    settling and first-interaction times) and the degrees and neighbor
+    spreads of the step's first state (for movement budgets). ``delta``
+    defaults to epsilon/4.
+    """
+
+    def __init__(self, epsilon: float, delta: Optional[float] = None, *, hull: bool = True):
+        self.delta = epsilon / 4.0 if delta is None else delta
+        if not (self.delta > 0):
+            raise ValueError(f"delta must be positive, got {self.delta}")
+        self.hull = hull
+        self.violations = {"energy_descent": 0, "contraction": 0, "nonexpansion": 0,
+                           "movement_bound": 0, "equivalence": 0, "hull": 0,
+                           "displacement_floor": 0}
+        self._equivalence = self.delta <= epsilon / 4.0
+        self._records = []
+        self._diameters = []
+        self._degrees, self._spread = [], []
+        self._last: Optional[StateAnalysis] = None
+
+    def push(self, state: OpinionState, next_state: OpinionState, alpha: np.ndarray,
+             now: StateAnalysis, nxt: StateAnalysis) -> StepMetrics:
+        """Verify the step from ``state`` to ``next_state`` under ``alpha``;
+        ``now`` and ``nxt`` are the two states' analyses."""
+        if self._last is None:
+            self._diameters.append(now.component_diameters)
+        m = _step_metrics(state, next_state, alpha, now, nxt, interaction=True, hull=False)
+        v = self.violations
+        v["energy_descent"] += not m.energy_ok
+        v["contraction"] += m.contraction_ok is False
+        v["nonexpansion"] += not m.nonexpansion_ok
+        fv = _floor(state, next_state, alpha, self.delta, now)
+        v["displacement_floor"] += fv.applicable and not fv.ok
+        if self.hull:
+            v["hull"] += sum(_hull_strays(state.x, next_state.x, now.mask, HULL_TOL))
+        if self._equivalence:
+            record = _equivalence_step(state.t, now, nxt, self.delta, state.epsilon)
+            v["equivalence"] += record is not None and not record["equivalent"]
+        self._records.append(m.as_record())
+        self._degrees.append(now.degrees)
+        self._spread.append(now.spread)
+        self._diameters.append(nxt.component_diameters)
+        self._last = nxt
+        return m
+
+    def report(self, traj: Trajectory) -> dict:
+        """The check report of ``traj``, whose every transition was pushed:
+        per-step records, violation counters (all zero on a healthy run),
+        merge events, settling data, and the first-interaction surrogate."""
+        last, diameters = self._last, self._diameters
+        if last is None:  # a lone state, no transition
+            last = analyze_state(traj.state_at(0))
+            diameters = [last.component_diameters]
+        delta = self.delta
+        budgets = _movement_budgets(traj, np.arange(traj.n), self._degrees, self._spread)
+        violations = dict(self.violations, movement_bound=sum(b.violations for b in budgets))
+        events = ([e.as_record() for e in detect_merge_events(traj.states)]
+                  if len(traj.states) >= 2 else [])
+        sup_a = traj.sup_alpha()
+        tau_bound = interaction_bound = None
+        if sup_a < 1.0 and delta <= traj.epsilon:
+            tau_bound, interaction_bound = settling_bounds(traj.n, traj.epsilon, delta, sup_a)
+            if tau_bound == math.inf:  # written as null: strict JSON has no infinity
+                tau_bound = None
+        total = sum(violations.values())
+        return {
+            "header": traj.header(),
+            "delta": delta,
+            "violations": violations,
+            "total_violations": total,
+            "energy_descent_violations": violations["energy_descent"],
+            "contraction_violations": violations["contraction"],
+            "tau_delta": _first_settled(diameters, delta),
+            "tau_bound": tau_bound,
+            "sup_alpha": sup_a,
+            "consensus_reached": all(dm <= traj.consensus_tol for dm in last.component_diameters),
+            "final_diameter": last.diameter,
+            "partial_sums": [b.partial_sums[-1] if b.partial_sums else 0.0 for b in budgets],
+            "interaction_times": _interaction_times(traj.epsilon, diameters, 64),
+            "interaction_bound": interaction_bound,
+            "merge_events": events,
+            "interaction_equivalence": {"mismatches": violations["equivalence"]},
+            "per_step": self._records,
+            "ok": total == 0,
+        }
+
+
 def check_trajectory(traj: Trajectory, delta: Optional[float] = None,
                      *, hull: bool = True) -> dict:
-    """Recompute every monitor over a stored trajectory.
-
-    Returns a JSON-ready report: per-step records, violation counters (all
-    zero on a healthy run), merge events, settling data, and the
-    first-interaction surrogate. ``delta`` defaults to epsilon/4.
-    """
-    if delta is None:
-        delta = traj.epsilon / 4.0
-    if not (delta > 0):
-        raise ValueError(f"delta must be positive, got {delta}")
-    check_equivalence = delta <= traj.epsilon / 4.0
-    per_step = []
-    violations = {"energy_descent": 0, "contraction": 0, "nonexpansion": 0,
-                  "movement_bound": 0, "equivalence": 0, "hull": 0,
-                  "displacement_floor": 0}
-    # one pass over the steps, holding the analyses of states t and t+1 only
+    """Recompute every monitor over a stored trajectory: a ``Checker`` fed
+    each recorded step in one pass, holding two analyses at a time."""
+    if not traj.states:
+        raise IntegrityError("the trajectory has no states to check")
+    checker = Checker(traj.epsilon, delta, hull=hull)
     state = traj.state_at(0)
     now = analyze_state(state)
-    comp_cache = [now.component_diameters]
-    degrees, spread = [], []
     for t in range(traj.steps):
         next_state = traj.state_at(t + 1)
         nxt = analyze_state(next_state)
-        m = compute_step_metrics(state, next_state, traj.alphas[t], interaction=True,
-                                 analysis=now, next_analysis=nxt)
-        if not m.energy_ok:
-            violations["energy_descent"] += 1
-        if m.contraction_ok is False:
-            violations["contraction"] += 1
-        if not m.nonexpansion_ok:
-            violations["nonexpansion"] += 1
-        fv = displacement_floor_check(state, next_state, traj.alphas[t], delta, analysis=now)
-        if fv.applicable and not fv.ok:
-            violations["displacement_floor"] += 1
-        per_step.append(m.as_record())
-        if hull:
-            violations["hull"] += sum(_hull_strays(state.x, next_state.x, now.mask, HULL_TOL))
-        if check_equivalence:
-            record = _equivalence_step(t, now, nxt, delta, traj.epsilon)
-            violations["equivalence"] += record is not None and not record["equivalent"]
-        degrees.append(now.degrees)
-        spread.append(now.spread)
-        comp_cache.append(nxt.component_diameters)
+        checker.push(state, next_state, traj.alphas[t], now, nxt)
         state, now = next_state, nxt
-    budgets = _movement_budgets(traj, np.arange(traj.n), degrees, spread)
-    violations["movement_bound"] = sum(b.violations for b in budgets)
-    events = [e.as_record() for e in detect_merge_events(traj.states)] if len(traj.states) >= 2 else []
-    tau = _first_settled(comp_cache, delta)
-    sup_a = traj.sup_alpha()
-    tau_bound = interaction_bound = None
-    if sup_a < 1.0 and delta <= traj.epsilon:
-        tau_bound, interaction_bound = settling_bounds(traj.n, traj.epsilon, delta, sup_a)
-    interaction_times = _interaction_times(traj.epsilon, comp_cache, 64)
-    total = sum(violations.values())
-    return {
-        "header": traj.header(),
-        "delta": delta,
-        "violations": violations,
-        "total_violations": total,
-        "energy_descent_violations": violations["energy_descent"],
-        "contraction_violations": violations["contraction"],
-        "tau_delta": tau,
-        "tau_bound": tau_bound,
-        "sup_alpha": sup_a,
-        "consensus_reached": all(dm <= traj.consensus_tol for dm in now.component_diameters),
-        "final_diameter": now.diameter,
-        "partial_sums": [b.partial_sums[-1] if b.partial_sums else 0.0 for b in budgets],
-        "interaction_times": interaction_times,
-        "interaction_bound": interaction_bound,
-        "merge_events": events,
-        "interaction_equivalence": {"mismatches": violations["equivalence"]},
-        "per_step": per_step,
-        "ok": total == 0,
-    }
+    return checker.report(traj)

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from .dynamics import ModelConfig, OpinionState, step
-from .monitors import compute_step_metrics
+from .monitors import Checker, _step_metrics
 from .profile import analyze_state, detect_merge_events
 from .trajectory import Trajectory
 
 
-def simulate(config: ModelConfig) -> Trajectory:
+def simulate(config: ModelConfig, checker: Optional[Checker] = None) -> Trajectory:
     """Run the dynamics for at most ``config.max_steps`` steps.
 
     Stops early when consecutive states are byte-identical ("steady": an
@@ -18,6 +20,10 @@ def simulate(config: ModelConfig) -> Trajectory:
     guarantee) or when every component's diameter falls to ``consensus_tol``
     ("consensus"). The run is a pure function of the config: the asynchronous
     schedule draws from a counter-based stream keyed by (seed, t).
+
+    A ``checker`` is pushed every transition, with the analyses the run
+    already makes for its steps and stop test, so ``checker.report(traj)``
+    checks the run without analysing any state again.
     """
     state = OpinionState(0, config.initial.copy(), config.epsilon)
     analysis = analyze_state(state)
@@ -33,11 +39,12 @@ def simulate(config: ModelConfig) -> Trajectory:
         next_analysis = analyze_state(nxt)
         alphas.append(alpha)
         states.append(nxt.x)
+        if checker is not None:
+            checker.push(state, nxt, alpha, analysis, next_analysis)
         if metrics is not None:
-            metrics.append(compute_step_metrics(state, nxt, alpha,
-                                                interaction="interaction" in flags,
-                                                hull="hull" in flags, analysis=analysis,
-                                                next_analysis=next_analysis))
+            metrics.append(_step_metrics(state, nxt, alpha, analysis, next_analysis,
+                                         interaction="interaction" in flags,
+                                         hull="hull" in flags))
         if nxt.x.tobytes() == state.x.tobytes():
             stop_reason = "steady"
             break

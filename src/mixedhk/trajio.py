@@ -28,6 +28,9 @@ from .errors import IntegrityError
 from .trajectory import FORMAT_VERSION, Trajectory
 
 MAGIC = f"# mixed-hk-trajectory v{FORMAT_VERSION}"
+# JSON type of each header value a trajectory is built from
+HEADER_TYPES = {"n": int, "d": int, "epsilon": (int, float), "schedule": dict,
+                "seed": int, "consensus_tol": (int, float)}
 
 
 def _sidecar(path: Path) -> Path:
@@ -78,7 +81,12 @@ def read_trajectory(path) -> Trajectory:
     return _read_csv(path)
 
 
-def _traj_from_parts(header: dict, states, alphas, events, metrics, path) -> Trajectory:
+def _check_header(header, path) -> dict:
+    """The parsed header, once it is an object holding every required key,
+    this format's version, each value of its JSON type, and n and d of at
+    least one."""
+    if not isinstance(header, dict):
+        raise IntegrityError(f"{path}: missing header object")
     for key in ("version", "n", "d", "epsilon", "schedule", "seed"):
         if key not in header:
             raise IntegrityError(f"{path}: header is missing {key!r}")
@@ -87,6 +95,17 @@ def _traj_from_parts(header: dict, states, alphas, events, metrics, path) -> Tra
             f"{path}: format version {header['version']} unsupported "
             f"(expected {FORMAT_VERSION})"
         )
+    for key, kind in HEADER_TYPES.items():
+        value = header.get(key)
+        if key in header and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise IntegrityError(f"{path}: header {key} has the wrong type: {value!r}")
+    for key in ("n", "d"):
+        if header[key] < 1:
+            raise IntegrityError(f"{path}: header {key} must be at least 1, got {header[key]}")
+    return header
+
+
+def _traj_from_parts(header: dict, states, alphas, events, metrics, path) -> Trajectory:
     traj = Trajectory(
         n=header["n"],
         d=header["d"],
@@ -108,9 +127,7 @@ def _read_json(path: Path) -> Trajectory:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"{path}: cannot parse trajectory JSON: {exc}") from None
-    header = payload.get("header")
-    if not isinstance(header, dict):
-        raise IntegrityError(f"{path}: missing header object")
+    header = _check_header(payload.get("header") if isinstance(payload, dict) else None, path)
     try:
         states = [np.array([[float(v) for v in row] for row in x]) for x in payload["states"]]
         alphas = [np.array([float(v) for v in a]) for a in payload["alphas"]]
@@ -133,10 +150,10 @@ def _read_csv(path: Path) -> Trajectory:
     if len(lines) < 3 or not lines[1].startswith("# header="):
         raise IntegrityError(f"{path}: missing header line")
     try:
-        header = json.loads(lines[1][len("# header="):])
+        header = _check_header(json.loads(lines[1][len("# header="):]), path)
     except json.JSONDecodeError as exc:
         raise IntegrityError(f"{path}: malformed header JSON: {exc}") from None
-    n, d = header.get("n"), header.get("d")
+    n, d = header["n"], header["d"]
     expected_cols = "t,agent," + ",".join(f"x_{k}" for k in range(d)) + ",alpha"
     if lines[2] != expected_cols:
         raise IntegrityError(f"{path}: unexpected column header {lines[2]!r}")
@@ -199,7 +216,7 @@ def _read_csv(path: Path) -> Trajectory:
 
 def _check_shapes(header: dict, states, alphas, path):
     # a header-only file (no states at all) is a valid empty trajectory
-    n, d = header.get("n"), header.get("d")
+    n, d = header["n"], header["d"]
     expected = max(len(states) - 1, 0)
     if len(alphas) != expected:
         raise IntegrityError(f"{path}: {len(states)} states need {expected} "

@@ -206,6 +206,37 @@ def oracle_movement_budget(traj, agent: int, slack: float = 1e-12) -> tuple:
     return tuple(terms), tuple(sums), tuple(ok), violations
 
 
+def oracle_one_run(config, seed: int, delta, hull: bool) -> dict:
+    """One batch run's record by the two-pass route: simulate with every
+    monitor off, then check the stored trajectory from scratch, analysing
+    each state a second time."""
+    from dataclasses import replace
+
+    from mixedhk.monitors import check_trajectory
+    from mixedhk.simulate import simulate
+
+    cfg = replace(config, seed=seed, initial=config.initial.copy(), monitors=())
+    traj = simulate(cfg)
+    report = check_trajectory(traj, delta, hull=hull)
+    single_mover_bad = 0
+    if cfg.schedule.kind == "asynchronous":
+        for t in range(traj.steps):
+            moved = sum(traj.states[t][i].tobytes() != traj.states[t + 1][i].tobytes()
+                        for i in range(traj.n))
+            single_mover_bad += moved > 1
+    return {
+        "seed": seed,
+        "steps": traj.steps,
+        "stop_reason": traj.stop_reason,
+        "violations": report["violations"],
+        "total_violations": report["total_violations"] + single_mover_bad,
+        "single_mover_violations": single_mover_bad,
+        "tau_delta": report["tau_delta"],
+        "consensus_reached": report["consensus_reached"],
+        "final_diameter": report["final_diameter"],
+    }
+
+
 # Graph oracles: the edge-set routes for the Laplacian, the adjacency and
 # averaging matrices and the generalized-Laplacian predicate, one loop over
 # edges or vertex pairs each. The package reads all of them off the mask.

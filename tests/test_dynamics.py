@@ -55,6 +55,12 @@ class TestNumericDomain:
         self.config([[1e150], [-1e150]], 1.0)
         self.config([[1e154], [0.0]], 1.0)  # squared range 1e308 is still finite
 
+    def test_capped_energy_must_be_finite(self):
+        # each squared distance is finite, but 2 * (0.2 + 0.2 + 0.81)e308 is not
+        with pytest.raises(ValueError, match="n\\*n\\*epsilon"):
+            self.config([[0.0], [0.45e154], [0.9e154]], 1e154)
+        self.config([[0.0], [0.45e153], [0.9e153]], 3e153)  # 2 * 9 * 9e306 is finite
+
 
 class TestNeighborhoods:
     def test_boundary_distance_is_neighbor(self):

@@ -67,6 +67,11 @@ def count_calls(monkeypatch, fn) -> list:
     return count
 
 
+MAGIC = "# mixed-hk-trajectory v1"
+HEADER = ('{"version": 1, "n": 2, "d": 1, "epsilon": 1.0, '
+          '"schedule": {"kind": "synchronous"}, "seed": 0}')
+
+
 def reject_constant(name):
     raise ValueError(f"report is not strict JSON: it contains {name}")
 
@@ -166,20 +171,56 @@ class TestCli:
     @pytest.mark.parametrize("epsilon, states", [
         (1e-310, [[[0.0], [1e-300]], [[0.0], [1e-300]]]),  # epsilon**2 underflows
         (1.0, [[[1e200], [-1e200]], [[1e200], [-1e200]]]),  # squared distances overflow
+        (1e154, [[[0.0], [0.45e154], [0.9e154]]] * 2),  # the capped energy overflows
     ])
     def test_check_rejects_states_outside_the_numeric_domain(self, tmp_path, capsys,
                                                              epsilon, states):
         from mixedhk import Trajectory, write_trajectory
 
-        traj = Trajectory(n=2, d=1, epsilon=epsilon, schedule={"kind": "synchronous"},
+        n = len(states[0])
+        traj = Trajectory(n=n, d=1, epsilon=epsilon, schedule={"kind": "synchronous"},
                           seed=0, states=[np.array(x) for x in states],
-                          alphas=[np.zeros(2)], stop_reason="steady")
+                          alphas=[np.zeros(n)], stop_reason="steady")
         path = tmp_path / "outside.csv"
         write_trajectory(traj, path)
         assert main(["check", "--trajectory", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("text", [
+        MAGIC + "\n# header=" + HEADER + "\nt,agent,x_0,alpha\n",  # no states
+        '{"header": ' + HEADER + ', "states": [], "alphas": []}',  # no states
+        MAGIC + "\n# header=" + HEADER.replace('"n": 2', '"n": 0') + "\nt,agent,x_0,alpha\n",
+        MAGIC + '\n# header={"version": 1}\nt,agent,x_0,alpha\n',  # no n or d
+        MAGIC + "\n# header=[1,2]\nt,agent,x_0,alpha\n",  # not an object
+        '{"header": ' + HEADER.replace("1.0", '"1.0"') + ', "states": [[[0.0], [1.0]]], '
+        '"alphas": []}',  # epsilon is a string
+        MAGIC + "\n# header=" + HEADER.replace('{"kind": "synchronous"}', "[1]")
+        + "\nt,agent,x_0,alpha\n0,0,0.0,\n0,1,1.0,\n",  # schedule is not an object
+    ], ids=["header-only-csv", "json-without-states", "n-zero", "no-n-or-d", "header-list",
+            "epsilon-string", "schedule-list"])
+    def test_check_rejects_malformed_trajectory_files(self, tmp_path, capsys, text):
+        path = tmp_path / ("bad.json" if text.startswith("{") else "bad.csv")
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", "--trajectory", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_settling_bound_beyond_the_float_range_is_null(self, tmp_path, capsys):
+        from mixedhk import Trajectory, write_trajectory
+
+        traj = Trajectory(n=2, d=1, epsilon=1.0, schedule={"kind": "synchronous"}, seed=0,
+                          states=[np.array([[0.0], [0.5]]), np.array([[0.25], [0.25]])],
+                          alphas=[np.zeros(2)], stop_reason="consensus")
+        path = tmp_path / "two.csv"
+        write_trajectory(traj, path)
+        out = tmp_path / "report.json"
+        argv = ["check", "--trajectory", str(path), "--delta", "1e-200"]
+        assert main(argv + ["--out", str(out)]) == 0
+        report = json.loads(out.read_text(), parse_constant=reject_constant)
+        assert report["tau_bound"] is None and report["interaction_bound"] == 2.0**10 / 2.0
 
     def test_scenario_subcommand(self, capsys):
         assert main(["scenario", "--list"]) == 0

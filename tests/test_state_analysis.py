@@ -3,15 +3,18 @@ for bit against the independent pure-Python routes in conftest."""
 
 import json
 import weakref
+from importlib import import_module
 
 import numpy as np
 import pytest
 
 import mixedhk.monitors as monitors
 from mixedhk import (
+    Checker,
     ModelConfig,
     Profile,
     StubbornnessSchedule,
+    batch_run,
     build_profile,
     check_trajectory,
     detect_merge_events,
@@ -26,6 +29,7 @@ from conftest import (
     all_graphs,
     oracle_merge_events,
     oracle_movement_budget,
+    oracle_one_run,
     oracle_opinions_equal,
     oracle_profile,
     random_alpha,
@@ -44,15 +48,22 @@ def _schedule(kind: str, rng: np.random.Generator, n: int, steps: int) -> Stubbo
     return StubbornnessSchedule(kind)
 
 
-def _trajectory(kind: str, d: int, seed: int, n: int = 14, steps: int = 25):
-    """A short random run whose epsilon is scaled to the pairwise distances,
-    so profiles are neither empty nor complete and merges happen."""
+# modules by name: the package attributes ``simulate`` and ``batch_run`` are functions
+SIMULATE, BATCH = import_module("mixedhk.simulate"), import_module("mixedhk.batch")
+
+
+def _config(kind: str, d: int, seed: int, n: int = 14, steps: int = 25) -> ModelConfig:
+    """A short random run's config, its epsilon scaled to the pairwise
+    distances, so profiles are neither empty nor complete and merges happen."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, (n, d))
     eps = 0.6 * float(np.median(np.sqrt(squared_distances(x))))
-    cfg = ModelConfig(x, eps, _schedule(kind, rng, n, steps), steps, seed=seed,
-                      consensus_tol=1e-300)
-    return simulate(cfg)
+    return ModelConfig(x, eps, _schedule(kind, rng, n, steps), steps, seed=seed,
+                       consensus_tol=1e-300)
+
+
+def _trajectory(kind: str, d: int, seed: int, n: int = 14, steps: int = 25):
+    return simulate(_config(kind, d, seed, n, steps))
 
 
 def _bits(values) -> bytes:
@@ -109,21 +120,55 @@ def test_movement_budgets_match_the_per_agent_arithmetic(kind, d, monkeypatch):
     assert json.dumps(check_trajectory(traj, hull=False)) == report
 
 
-def test_check_holds_two_analyses_at_a_time(monkeypatch):
-    traj = _trajectory("constant", 2, seed=5)
+@pytest.mark.parametrize("d", (1, 2, 8))
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+def test_streamed_check_matches_simulate_then_check(kind, d, monkeypatch):
+    cfg = _config(kind, d, seed=31 + 1000 * d + SCHEDULE_KINDS.index(kind), n=10, steps=20)
+    delta = cfg.epsilon / 8.0
+    checker = Checker(cfg.epsilon, delta)
+    traj = simulate(cfg, checker)
+    assert json.dumps(checker.report(traj)) == json.dumps(check_trajectory(traj, delta))
+    cases = [(None, False), (None, True), (delta, False)]
+    got = [json.dumps(batch_run(cfg, 2, 40, delta, hull=hull)) for delta, hull in cases]
+    monkeypatch.setattr(BATCH, "_one_run", oracle_one_run)
+    assert got == [json.dumps(batch_run(cfg, 2, 40, delta, hull=hull)) for delta, hull in cases]
+
+
+def _track_analyses(monkeypatch) -> dict:
+    """Patch analyze_state where the check and the run call it; the returned
+    dict counts the calls and the most analyses alive at once."""
     made = []
-    most = 0
+    seen = {"calls": 0, "most": 0}
 
     def tracked(state):
-        nonlocal most
         analysis = analyze_state(state)
         made.append(weakref.ref(analysis))
-        most = max(most, sum(ref() is not None for ref in made))
+        seen["calls"] += 1
+        seen["most"] = max(seen["most"], sum(ref() is not None for ref in made))
         return analysis
 
-    monkeypatch.setattr(monitors, "analyze_state", tracked)
-    report = check_trajectory(traj)
-    assert report["per_step"] and most == 2
+    for module in (monitors, SIMULATE):
+        monkeypatch.setattr(module, "analyze_state", tracked)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ("asynchronous", "constant"))
+def test_batch_analyses_each_state_once(kind, monkeypatch):
+    seen = _track_analyses(monkeypatch)
+    summary = batch_run(_config(kind, 2, seed=9), 3, 0, hull=True)
+    assert seen["calls"] == sum(run["steps"] + 1 for run in summary["per_run"]) > 3
+
+
+@pytest.mark.parametrize("route", ("check_trajectory", "batch_run"))
+def test_check_holds_two_analyses_at_a_time(route, monkeypatch):
+    cfg = _config("constant", 2, seed=5)
+    traj = simulate(cfg)
+    seen = _track_analyses(monkeypatch)
+    if route == "check_trajectory":
+        assert check_trajectory(traj)["per_step"]
+    else:
+        assert batch_run(cfg, 2, 5)["per_run"]
+    assert seen["most"] == 2
 
 
 def test_profile_labels_from_edges_match_union_find():
