@@ -227,3 +227,7 @@ def _check_shapes(header: dict, states, alphas, path):
     for t, a in enumerate(alphas):
         if a.shape != (n,):
             raise IntegrityError(f"{path}: alpha {t} has shape {a.shape}, expected ({n},)")
+        # NaN fails both comparisons, so this also rejects every non-finite entry
+        if not np.all((a >= 0.0) & (a <= 1.0)):
+            raise IntegrityError(f"{path}: alpha at t={t} must hold finite stubbornness "
+                                 f"values in [0, 1]")

@@ -18,7 +18,16 @@ from mixedhk import (
     simulate,
     step,
 )
+from mixedhk import dynamics
+from mixedhk.dynamics import SCHEDULE_KINDS, neighbor_means
 from conftest import oracle_mixed_step, oracle_profile, random_alpha, random_opinions
+
+
+def oracle_step_x(x: np.ndarray, eps: float, alpha: np.ndarray) -> np.ndarray:
+    """``oracle_mixed_step`` on arrays: Python floats in, float64 array out."""
+    want = oracle_mixed_step([[float(v) for v in row] for row in x], eps,
+                             [float(a) for a in alpha])
+    return np.array(want, dtype=np.float64)
 
 
 def test_state_validation():
@@ -155,10 +164,74 @@ class TestStep:
             d = int(rng.integers(1, 4))
             st = OpinionState(0, random_opinions(rng, n, d), float(rng.uniform(0.3, 2.0)))
             alpha = random_alpha(rng, n)
-            got = step(st, alpha)
-            want = oracle_mixed_step([list(map(float, r)) for r in st.x],
-                                     st.epsilon, [float(a) for a in alpha])
-            assert got.x.tobytes() == np.array(want).tobytes()
+            assert step(st, alpha).x.tobytes() == oracle_step_x(st.x, st.epsilon, alpha).tobytes()
+
+    @pytest.mark.parametrize("opinions", [[0.0, 0.5, 3.0], [0.0, 3.0, 0.5]],
+                             ids=["on-an-isolated-agent", "on-a-connected-agent"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_stubbornness_is_rejected(self, opinions, bad):
+        st = OpinionState(0, np.array(opinions)[:, None], 1.0)
+        with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+            step(st, [0.0, 0.0, bad])
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 9])
+    def test_matches_oracle_on_wide_rows(self, d):
+        # rows of more than 30 neighbors, three isolated agents, -0.0 coordinates,
+        # and stubbornness 0, 1 and interior mixed in every step
+        rng = np.random.default_rng(40 + d)
+        for n, share in ((40, 0.9), (200, 0.3), (200, 0.05)):
+            x = random_opinions(rng, n, d)
+            x[rng.random((n, d)) < 0.15] = -0.0
+            x[:3] = 50.0 + 10.0 * np.arange(3)[:, None]
+            gaps = np.sqrt(dynamics.squared_distances(x[3:]))
+            st = OpinionState(0, x, float(np.quantile(gaps, share)))
+            degrees = np.count_nonzero(neighbor_matrix(st), axis=1)
+            assert np.all(degrees[:3] == 1) and (share < 0.1 or degrees.max() > 30)
+            alpha = random_alpha(rng, n)
+            assert step(st, alpha).x.tobytes() == oracle_step_x(x, st.epsilon, alpha).tobytes()
+
+    def test_adopters_keep_a_negative_zero_mean(self):
+        # (5e-324 - 1e-323) / 2 rounds to -0.0, and 0 * 5e-324 + 1 * -0.0 would be +0.0
+        st = OpinionState(0, np.array([[5e-324], [-1e-323]]), 1.0)
+        nxt = step(st, np.array([0.0, 0.0]))
+        assert nxt.x.tobytes() == np.array([[-0.0], [-0.0]]).tobytes()
+        assert nxt.x.tobytes() == oracle_step_x(st.x, 1.0, np.zeros(2)).tobytes()
+
+    def test_neighbor_means_of_any_row_block(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            st = OpinionState(0, random_opinions(rng, n, int(rng.integers(1, 4))),
+                              float(rng.uniform(0.1, 2.0)))
+            mask = neighbor_matrix(st)
+            full = neighbor_means(st.x, mask)
+            # an isolated agent's mean is its own opinion, so alpha = 0 gives every mean
+            assert full.tobytes() == oracle_step_x(st.x, st.epsilon, np.zeros(n)).tobytes()
+            rows = rng.integers(0, n, size=int(rng.integers(0, n + 1)))  # any order, repeats
+            assert neighbor_means(st.x, mask[rows]).tobytes() == full[rows].tobytes()
+
+    def test_step_asks_for_the_movers_rows_only(self, monkeypatch):
+        asked = []
+        real = dynamics.neighbor_means
+
+        def spy(x, rows):
+            asked.append(rows.shape[0])
+            return real(x, rows)
+
+        monkeypatch.setattr(dynamics, "neighbor_means", spy)
+        rng = np.random.default_rng(37)
+        st = OpinionState(0, random_opinions(rng, 12, 2), 3.0)  # everyone connected
+        sched = StubbornnessSchedule("asynchronous", seed=5)
+        for t in range(20):
+            step(st, sched.alpha_at(t, 12))
+        assert asked == [1] * 20
+        asked.clear()
+        step(st, np.ones(12))
+        assert sum(asked) == 0
+        asked.clear()
+        lonely = OpinionState(0, np.vstack([st.x, [[100.0, 100.0]]]), 3.0)
+        step(lonely, np.zeros(13))  # the isolated agent keeps its opinion unasked
+        assert asked == [12]
 
     def test_hull_containment(self):
         rng = np.random.default_rng(23)
@@ -266,6 +339,26 @@ class TestSimulate:
             if moved:
                 scheduled = int(np.flatnonzero(traj.alphas[t] == 0.0)[0])
                 assert moved == [scheduled]
+
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    def test_matches_oracle_steps_for_every_schedule(self, kind):
+        rng = np.random.default_rng(43)
+        n = 10
+        schedule = StubbornnessSchedule(
+            kind, alpha=random_alpha(rng, n) if kind == "constant" else None,
+            exponent=2.0 if kind == "power_law" else None,
+            table=tuple(random_alpha(rng, n) for _ in range(30)) if kind == "table" else None)
+        x = random_opinions(rng, n, 2)
+        x[:2] = -0.0
+        cfg = ModelConfig(initial=x, epsilon=0.7, schedule=schedule, max_steps=30,
+                          seed=19, consensus_tol=1e-300)
+        traj = simulate(cfg)
+        assert traj.steps >= 1
+        for t in range(traj.steps):
+            alpha = schedule.alpha_at(t, n, cfg.seed)
+            assert traj.alphas[t].tobytes() == alpha.tobytes()
+            want = oracle_step_x(traj.states[t], cfg.epsilon, alpha)
+            assert traj.states[t + 1].tobytes() == want.tobytes()
 
     def test_table_exhaustion_propagates(self):
         cfg = ModelConfig(initial=np.array([[0.0], [0.5]]), epsilon=1.0,

@@ -208,6 +208,22 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("value", [1.5, -0.5, float("nan")], ids=["1.5", "-0.5", "nan"])
+    def test_check_rejects_stored_stubbornness_outside_the_unit_interval(
+            self, tmp_path, capsys, fmt, value):
+        from mixedhk import Trajectory, write_trajectory
+
+        traj = Trajectory(n=2, d=1, epsilon=1.0, schedule={"kind": "synchronous"}, seed=0,
+                          states=[np.array([[0.0], [0.5]])] * 3,
+                          alphas=[np.ones(2), np.array([1.0, value])], stop_reason="steady")
+        path = write_trajectory(traj, tmp_path / f"bad.{fmt}", fmt=fmt)
+        assert main(["check", "--trajectory", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(path) in captured.err and "t=1" in captured.err
+
     def test_settling_bound_beyond_the_float_range_is_null(self, tmp_path, capsys):
         from mixedhk import Trajectory, write_trajectory
 
