@@ -18,9 +18,11 @@ an independent implementation):
 * the neighbor predicate is ``dist_sq <= epsilon * epsilon`` in plain
   floating point (ties at the boundary are neighbors);
 * neighbor means accumulate over ascending agent index, left to right, then
-  divide by the neighbor count; a step computes them only for the agents
-  that move (a_i != 1 and a neighbor besides themselves), and
-  ``neighbor_means`` takes any block of neighbor-mask rows;
+  divide by the neighbor count; ``neighbor_means`` takes any block of
+  neighbor-mask rows and sums each row with one sequential
+  ``np.add.accumulate`` over its gathered neighbors, and a step asks it
+  only for the agents that move (a_i != 1 and a neighbor besides
+  themselves);
 * agents with a_i = 1, and agents whose only neighbor is themselves, keep
   their opinion bit for bit; agents with a_i = 0 adopt the neighbor mean bit
   for bit; otherwise the convex combination above is evaluated elementwise.
@@ -276,22 +278,24 @@ def neighbor_means(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     ``rows`` is any (k, n) block of neighbor-mask rows, each holding at least
     one neighbor (a full mask, or the rows of the agents that move). Each
     row's neighbors are summed in ascending index order, left to right, from
-    the first neighbor on, then divided by the row's neighbor count.
+    the first neighbor on (one sequential ``np.add.accumulate`` over the
+    gathered neighbors of every row), then divided by the row's neighbor
+    count.
     """
     k, n = rows.shape
     # the flat nonzero of a row-major block lists row by row, each row's
     # neighbors ascending (and is several times faster than a 2-D nonzero)
     row_of, cols = np.divmod(np.flatnonzero(rows), n)
     counts = np.bincount(row_of, minlength=k)
-    # row r's neighbors fill idx[r, :counts[r]]; the padding is never added,
-    # so no +0.0 turns a -0.0 sum into +0.0
+    # row r's neighbors fill idx[r, :counts[r]], padded after them
     valid = np.arange(counts.max(initial=1)) < counts[:, None]
     idx = np.zeros(valid.shape, dtype=np.intp)
     idx[valid] = cols
-    acc = x[idx[:, 0]]
-    for col, ok in zip(idx.T[1:], valid.T[1:, :, None]):
-        np.add(acc, x[col], out=acc, where=ok)
-    return acc / counts[:, None]
+    # accumulate adds strictly left to right along a row, starting from the
+    # first neighbor itself, and each row's sum is read before its padding
+    # is added, so no +0.0 turns a -0.0 sum into +0.0
+    sums = np.add.accumulate(x[idx], axis=1)[np.arange(k), counts - 1]
+    return sums / counts[:, None]
 
 
 def step(state: OpinionState, alpha: np.ndarray, *,
@@ -312,7 +316,7 @@ def step(state: OpinionState, alpha: np.ndarray, *,
     _check_alpha(alpha)
     if mask is None:
         mask = neighbor_matrix(state)
-    movers = np.flatnonzero((alpha != 1.0) & (np.count_nonzero(mask, axis=1) > 1))
+    movers = np.flatnonzero((alpha != 1.0) & (mask.sum(axis=1) > 1))
     means = neighbor_means(state.x, mask[movers])
     a = alpha[movers, None]
     new_x = state.x.copy()

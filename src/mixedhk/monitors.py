@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import OpinionState, neighbor_matrix, squared_distances
+from .dynamics import OpinionState, squared_distances
 from .errors import IntegrityError
 from .profile import (StateAnalysis, analyze_state, capped_energy, detect_merge_events, diameter,
                       hull_distance, neighbor_spread)
@@ -39,7 +39,10 @@ HULL_TOL = 1e-12  # absolute, distance of a new opinion from its neighbors' hull
 
 def _analyses(traj: Trajectory):
     """Each recorded state's analysis, built only when it is reached."""
-    return (analyze_state(traj.state_at(t)) for t in range(len(traj.states)))
+    analysis = None
+    for t in range(len(traj.states)):
+        analysis = analyze_state(traj.state_at(t), analysis)
+        yield analysis
 
 
 def energy(state: OpinionState) -> float:
@@ -54,15 +57,14 @@ def energy_drop_bound(state: OpinionState, next_state: OpinionState, alpha: np.n
     4 * (1 + |N_i| * alpha_i / (1 - alpha_i)) for alpha_i < 1 and plain 4 at
     alpha_i = 1 (where the displacement is identically zero anyway).
     """
-    return _drop_bound(state, next_state, alpha, analyze_state(state))
-
-
-def _drop_bound(state: OpinionState, next_state: OpinionState, alpha: np.ndarray,
-                now: StateAnalysis) -> float:
-    alpha = np.asarray(alpha, dtype=np.float64)
-    counts = now.degrees.astype(np.float64)
     disp_sq = ((next_state.x - state.x) ** 2).sum(axis=1)
-    coeff = np.ones(state.n)
+    return _drop_bound(alpha, analyze_state(state).degrees, disp_sq)
+
+
+def _drop_bound(alpha: np.ndarray, degrees: np.ndarray, disp_sq: np.ndarray) -> float:
+    alpha = np.asarray(alpha, dtype=np.float64)
+    counts = degrees.astype(np.float64)
+    coeff = np.ones(len(alpha))
     movable = alpha < 1.0
     coeff[movable] += counts[movable] * (alpha[movable] / (1.0 - alpha[movable]))
     return float(4.0 * (coeff * disp_sq).sum())
@@ -125,6 +127,10 @@ def components_interact(state: OpinionState, next_state: OpinionState) -> bool:
 
 
 def _interact(now: StateAnalysis, nxt: StateAnalysis) -> bool:
+    # shared labels mean an unchanged mask (see analyze_state), and no edge
+    # of a mask joins two of its own components
+    if nxt.labels is now.labels:
+        return False
     return bool((nxt.mask & (now.labels[:, None] != now.labels[None, :])).any())
 
 
@@ -190,10 +196,10 @@ def _step_metrics(state: OpinionState, next_state: OpinionState, alpha: np.ndarr
     z_now = now.energy
     z_next = nxt.energy
     drop = z_now - z_next
-    bound = _drop_bound(state, next_state, alpha, now)
+    disp_sq = ((next_state.x - state.x) ** 2).sum(axis=1)
+    bound = _drop_bound(alpha, now.degrees, disp_sq)
     slack = ENERGY_SLACK * state.n**2 * state.epsilon**2
     cv = _contraction(state, alpha, now, nxt)
-    disp_sq = ((next_state.x - state.x) ** 2).sum(axis=1)
     return StepMetrics(
         t=state.t,
         energy=z_now,
@@ -204,7 +210,7 @@ def _step_metrics(state: OpinionState, next_state: OpinionState, alpha: np.ndarr
         contraction_coeff=cv.coefficient,
         diam_global=cv.diam_before,
         diam_per_component=tuple(now.component_diameters),
-        displacement_sq=tuple(float(v) for v in disp_sq),
+        displacement_sq=tuple(disp_sq.tolist()),
         epsilon_trivial=cv.applicable,
         contraction_ok=cv.contraction_ok,
         nonexpansion_ok=cv.nonexpansion_ok,
@@ -277,24 +283,30 @@ def movement_budget_terms(traj: Trajectory, agent: int) -> MovementBudget:
     ||x_i(t) - x_i(t+1)|| <= term is checked with 1e-12 slack."""
     if not (0 <= agent < traj.n):
         raise ValueError(f"agent {agent} out of range for n={traj.n}")
-    agents = np.array([agent])
-    degrees, spread = [], []
-    for t in range(traj.steps):
-        rows = neighbor_matrix(traj.state_at(t))[agents]
-        degrees.append(np.count_nonzero(rows, axis=1))
-        spread.append(neighbor_spread(traj.states[t], rows, agents))
-    return _movement_budgets(traj, agents, degrees, spread)[0]
+    # every step's offsets from the agent: (steps, n, d)
+    x = np.array(traj.states)[:traj.steps]
+    diffs = x - x[:, agent, None, :]
+    # the agent's row of squared_distances, per coordinate ascending
+    d2 = diffs[..., 0] ** 2
+    for k in range(1, traj.d):
+        d2 = d2 + diffs[..., k] ** 2
+    rows = d2 <= traj.epsilon * traj.epsilon
+    # neighbor_spread's row sums of squared coordinate differences
+    spread2 = np.max((diffs * diffs).sum(axis=-1), axis=1, where=rows, initial=0.0)
+    return _movement_budgets(traj, np.array([agent]), np.count_nonzero(rows, axis=1)[:, None],
+                             np.sqrt(spread2)[:, None])[0]
 
 
-def _movement_budgets(traj: Trajectory, agents: np.ndarray, degrees: list,
-                      spread: list) -> list[MovementBudget]:
+def _movement_budgets(traj: Trajectory, agents: np.ndarray, degrees: np.ndarray,
+                      spread: np.ndarray) -> list[MovementBudget]:
     """Movement budgets of ``agents``, one array pass over the steps, from
-    each step's neighbor counts and neighbor spreads of those agents."""
+    the (steps, len(agents)) arrays of their neighbor counts and neighbor
+    spreads at each step."""
     steps = traj.steps
     if steps == 0:
         return [MovementBudget(int(i), (), (), (), 0) for i in agents]
     alphas = np.array([alpha[agents] for alpha in traj.alphas])
-    terms = (1.0 - alphas) * (1.0 - 1.0 / np.array(degrees)) * np.array(spread)
+    terms = (1.0 - alphas) * (1.0 - 1.0 / degrees) * spread
     sums = np.cumsum(terms, axis=0)
     x = np.array([state[agents] for state in traj.states])
     moves = x[1:] - x[:-1]
@@ -430,28 +442,22 @@ def first_interaction_times(traj: Trajectory, *, m_max: int = 64) -> list[int]:
 
 
 def _interaction_times(epsilon: float, comp_cache: list, m_max: int) -> list[int]:
-    """first_interaction_times from every recorded state's component diameters."""
-    horizon = len(comp_cache)
-    times = set()
-    taus = {}
-
-    def tau(m: int) -> Optional[int]:
-        if m not in taus:
-            taus[m] = _first_settled(comp_cache, epsilon / m)
-        return taus[m]
-
-    for m in range(4, m_max + 1):
-        t_m = tau(m)
-        if t_m is None:
+    """first_interaction_times from every recorded state's component
+    diameters, by array search over each state's widest component."""
+    widest = np.array([max(diams) for diams in comp_cache])
+    thresholds = epsilon / np.arange(4, m_max + 2)  # epsilon/m for m = 4..m_max+1
+    # tau_m, the first t with widest[t] <= epsilon/m, is the number of
+    # leading running minima above it (the horizon when never reached)
+    taus = np.searchsorted(-np.minimum.accumulate(widest), -thresholds).tolist()
+    times = []
+    for k, thr in enumerate(thresholds[:-1]):
+        t_m, right = taus[k], taus[k + 1]
+        if t_m == len(widest):
             break
-        t_next = tau(m + 1)
-        right = t_next if t_next is not None else horizon
-        thr = epsilon / m
-        for t in range(t_m, right):
-            if any(dm > thr for dm in comp_cache[t]):
-                times.add(t)
-                break
-    return sorted(times)
+        hits = np.flatnonzero(widest[t_m:right] > thr)
+        if hits.size:
+            times.append(t_m + int(hits[0]))
+    return times
 
 
 class Checker:
@@ -464,7 +470,9 @@ class Checker:
     two n-by-n masks are alive. Besides the violation counters it keeps
     O(n) values per step: the step's record, the component diameters (for
     settling and first-interaction times) and the degrees and neighbor
-    spreads of the step's first state (for movement budgets). ``delta``
+    spreads of the step's first state (for movement budgets). Spreads are
+    computed for agents with alpha_i < 1 only; the others' budget term
+    (1 - 1) c s is +0.0 whatever their spread, so they keep 0. ``delta``
     defaults to epsilon/4.
     """
 
@@ -502,7 +510,10 @@ class Checker:
             v["equivalence"] += record is not None and not record["equivalent"]
         self._records.append(m.as_record())
         self._degrees.append(now.degrees)
-        self._spread.append(now.spread)
+        movable = np.flatnonzero(np.asarray(alpha) < 1.0)
+        spread = np.zeros(state.n)
+        spread[movable] = neighbor_spread(state.x, now.mask[movable], movable)
+        self._spread.append(spread)
         self._diameters.append(nxt.component_diameters)
         self._last = nxt
         return m
@@ -516,7 +527,8 @@ class Checker:
             last = analyze_state(traj.state_at(0))
             diameters = [last.component_diameters]
         delta = self.delta
-        budgets = _movement_budgets(traj, np.arange(traj.n), self._degrees, self._spread)
+        budgets = _movement_budgets(traj, np.arange(traj.n), np.array(self._degrees),
+                                    np.array(self._spread))
         violations = dict(self.violations, movement_bound=sum(b.violations for b in budgets))
         events = ([e.as_record() for e in detect_merge_events(traj.states)]
                   if len(traj.states) >= 2 else [])
@@ -560,7 +572,7 @@ def check_trajectory(traj: Trajectory, delta: Optional[float] = None,
     now = analyze_state(state)
     for t in range(traj.steps):
         next_state = traj.state_at(t + 1)
-        nxt = analyze_state(next_state)
+        nxt = analyze_state(next_state, now)
         checker.push(state, next_state, traj.alphas[t], now, nxt)
         state, now = next_state, nxt
     return checker.report(traj)

@@ -6,12 +6,11 @@ computes convex-hull diameters and distances, decides delta-triviality and
 delta-equilibrium, and detects merge events along a trajectory.
 
 One ``StateAnalysis`` per state holds everything the monitors read off it:
-the neighbor mask, degrees, component labels and diameters, the capped
-energy and each agent's neighbor spread, all from one squared-distance
-matrix. It is a ``Profile``: the mask is the only form in which a profile
-graph is held. The independent pure-Python edge and merge-detection routes
-live in the tests as oracles, so agreement between this module and the
-dynamics stays a checked invariant.
+the neighbor mask, degrees, component labels and diameters and the capped
+energy, all from one squared-distance matrix. It is a ``Profile``: the mask
+is the only form in which a profile graph is held. The independent
+pure-Python edge and merge-detection routes live in the tests as oracles, so
+agreement between this module and the dynamics stays a checked invariant.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ class Profile:
     t: int
     mask: np.ndarray  # (n, n) bool, symmetric, diagonal true
     labels: np.ndarray  # (n,) int: component per agent, numbered by first member
+    degrees: np.ndarray  # (n,) int: |N_i| per agent, the agent itself included
 
     @classmethod
     def from_edges(cls, n: int, edges, t: int = 0) -> "Profile":
@@ -44,16 +44,12 @@ class Profile:
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bad edge ({i}, {j}) for n={n}")
             mask[i, j] = mask[j, i] = True
-        return cls(t, mask, _component_labels(mask))
+        degrees = mask.sum(axis=1)
+        return cls(t, mask, _component_labels(mask, degrees), degrees)
 
     @property
     def n(self) -> int:
         return self.mask.shape[0]
-
-    @cached_property
-    def degrees(self) -> np.ndarray:
-        """|N_i| per agent, the agent itself included."""
-        return np.count_nonzero(self.mask, axis=1)
 
     @cached_property
     def edges(self) -> frozenset:
@@ -87,16 +83,17 @@ class Profile:
         return self.num_components == 1
 
 
-def _component_labels(mask: np.ndarray) -> np.ndarray:
+def _component_labels(mask: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     """Component label per agent of a symmetric boolean adjacency mask whose
-    diagonal is true; labels are numbered by each component's first member.
+    diagonal is true, given its row counts ``degrees``; labels are numbered
+    by each component's first member.
 
     Breadth-first search from the first member of each component that is
     not a single agent, one mask row per reached agent.
     """
     n = mask.shape[0]
     first = np.arange(n)  # first member of each agent's component
-    for i in np.flatnonzero(np.count_nonzero(mask, axis=1) > 1).tolist():
+    for i in np.flatnonzero(degrees > 1).tolist():
         if first[i] != i:
             continue
         members = mask[i].copy()
@@ -127,12 +124,6 @@ class StateAnalysis(Profile):
     diameter: float  # diameter of the whole state
     energy: float  # capped pairwise energy
 
-    @cached_property
-    def spread(self) -> np.ndarray:
-        """Largest distance from each agent to a neighbor (see neighbor_spread);
-        computed on first use, since only the movement budgets read it."""
-        return neighbor_spread(self.x, self.mask, np.arange(self.n))
-
 
 def capped_energy(d2: np.ndarray, epsilon: float) -> float:
     """Capped pairwise energy from squared distances: the sum over ordered
@@ -155,24 +146,34 @@ def neighbor_spread(x: np.ndarray, rows: np.ndarray, agents: np.ndarray) -> np.n
     return np.sqrt(spread2)
 
 
-def analyze_state(state: OpinionState) -> StateAnalysis:
+def analyze_state(state: OpinionState, previous: Optional[StateAnalysis] = None) -> StateAnalysis:
     """Analyze one state with a single ``squared_distances`` call.
 
     A component's diameter is the square root of the largest squared
     distance inside its block, which is what ``diameter`` computes on the
-    component's points.
+    component's points. ``previous`` is another state's analysis, in
+    practice the one before: when its neighbor mask equals this state's, its
+    component labels are reused instead of searched again. Only the labels
+    array is shared, so ``previous`` itself is not kept alive.
     """
     x = state.x
     d2 = squared_distances(x)
     mask = d2 <= state.epsilon * state.epsilon  # the predicate of neighbor_matrix
-    labels = _component_labels(mask)
+    degrees = mask.sum(axis=1)
+    # equal degrees first: they are cheap and usually differ when the mask does
+    if (previous is not None and degrees.tobytes() == previous.degrees.tobytes()
+            and mask.tobytes() == previous.mask.tobytes()):
+        labels = previous.labels
+    else:
+        labels = _component_labels(mask, degrees)
     row_max = np.max(d2, axis=1, where=labels[:, None] == labels[None, :], initial=0.0)
     block_max = np.zeros(int(labels.max()) + 1)
     np.maximum.at(block_max, labels, row_max)
     diam = float(np.sqrt(d2.max()))
     energy = capped_energy(d2, state.epsilon)
     del d2
-    return StateAnalysis(state.t, mask, labels, x, np.sqrt(block_max).tolist(), diam, energy)
+    return StateAnalysis(state.t, mask, labels, degrees, x, np.sqrt(block_max).tolist(), diam,
+                         energy)
 
 
 def build_profile(state: OpinionState) -> Profile:

@@ -36,7 +36,7 @@ def simulate(config: ModelConfig, checker: Optional[Checker] = None) -> Trajecto
     for t in range(config.max_steps):
         alpha = config.schedule.alpha_at(t, config.n, config.seed)
         nxt = step(state, alpha, mask=analysis.mask)
-        next_analysis = analyze_state(nxt)
+        next_analysis = analyze_state(nxt, analysis)
         alphas.append(alpha)
         states.append(nxt.x)
         if checker is not None:

@@ -206,6 +206,37 @@ def oracle_movement_budget(traj, agent: int, slack: float = 1e-12) -> tuple:
     return tuple(terms), tuple(sums), tuple(ok), violations
 
 
+def oracle_interaction_times(epsilon: float, comp_cache: list, m_max: int = 64) -> list[int]:
+    """First-interaction times by rescanning every state's component
+    diameters once per threshold epsilon/m, with a window scan per m."""
+
+    def first_settled(delta):
+        return next((t for t, diams in enumerate(comp_cache)
+                     if all(dm <= delta for dm in diams)), None)
+
+    horizon = len(comp_cache)
+    times = set()
+    taus = {}
+
+    def tau(m):
+        if m not in taus:
+            taus[m] = first_settled(epsilon / m)
+        return taus[m]
+
+    for m in range(4, m_max + 1):
+        t_m = tau(m)
+        if t_m is None:
+            break
+        t_next = tau(m + 1)
+        right = t_next if t_next is not None else horizon
+        thr = epsilon / m
+        for t in range(t_m, right):
+            if any(dm > thr for dm in comp_cache[t]):
+                times.add(t)
+                break
+    return sorted(times)
+
+
 def oracle_one_run(config, seed: int, delta, hull: bool) -> dict:
     """One batch run's record by the two-pass route: simulate with every
     monitor off, then check the stored trajectory from scratch, analysing

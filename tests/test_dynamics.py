@@ -210,6 +210,24 @@ class TestStep:
             rows = rng.integers(0, n, size=int(rng.integers(0, n + 1)))  # any order, repeats
             assert neighbor_means(st.x, mask[rows]).tobytes() == full[rows].tobytes()
 
+    def test_neighbor_means_padding_never_reaches_a_sum(self):
+        # agent 0 sits at +0.0 in coordinate 0 and is the padding index; rows
+        # 1 and 2 sum two -0.0 coordinates and are padded beside the wider
+        # row 3, so a sum that took in the padding would read +0.0
+        x = np.array([[0.0, 10.0], [-0.0, 0.0], [-0.0, 0.1],
+                      [3.0, 0.0], [3.1, 0.0], [3.2, 0.0]])
+        st = OpinionState(0, x, 1.0)
+        mask = neighbor_matrix(st)
+        want = oracle_step_x(x, 1.0, np.zeros(6))  # alpha = 0: every agent's mean
+        for rows in ([1, 3], [3, 2, 1], [1, 2], [0], [0, 0], [0, 3], list(range(6))):
+            got = neighbor_means(x, mask[rows])
+            assert got.tobytes() == want[rows].tobytes()
+        assert np.signbit(neighbor_means(x, mask[[1, 3]])[0, 0])
+        # zero rows: an empty block of means; width-1 rows: the opinion itself
+        assert neighbor_means(x, mask[[]]).shape == (0, 2)
+        assert neighbor_means(x, np.eye(6, dtype=bool)).tobytes() == x.tobytes()
+        assert step(st, np.ones(6)).x.tobytes() == x.tobytes()
+
     def test_step_asks_for_the_movers_rows_only(self, monkeypatch):
         asked = []
         real = dynamics.neighbor_means

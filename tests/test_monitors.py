@@ -26,7 +26,8 @@ from mixedhk import (
     simulate,
     step,
 )
-from conftest import random_alpha, random_opinions
+import mixedhk.monitors as monitors
+from conftest import oracle_interaction_times, random_alpha, random_opinions
 
 
 def example1_pair(eps=1.0):
@@ -403,6 +404,35 @@ class TestInteractionEquivalence:
 
 
 class TestFirstInteractionTimes:
+    def test_one_pass_matches_the_per_threshold_scan(self):
+        rng = np.random.default_rng(53)
+        eps = 1.0
+        thresholds = [eps / m for m in range(4, 66)]
+        for case in range(300):
+            horizon = int(rng.integers(1, 40))
+            m_max = int(rng.choice([4, 5, 9, 64]))
+            # diameters drawn from the thresholds themselves, so many equal
+            # epsilon/m exactly, with some wider and narrower values mixed in
+            pool = thresholds + [0.0, 0.3 * eps, 2.0 * eps, 1e-300]
+            cache = [list(rng.choice(pool, int(rng.integers(1, 4)))) for _ in range(horizon)]
+            if case % 3 == 0:  # a settling time that is never reached
+                cache = [diams + [eps / 5.0] for diams in cache]
+            want = oracle_interaction_times(eps, cache, m_max)
+            got = monitors._interaction_times(eps, cache, m_max)
+            assert got == want
+            assert all(type(t) is int for t in got)
+
+    def test_boundary_diameters_and_unreached_settling(self):
+        eps = 1.0
+        # widest components exactly epsilon/4, epsilon/5 and epsilon/6:
+        # each is settled at its own threshold and nontrivial at the next
+        cache = [[eps / 4.0], [eps / 5.0], [eps / 4.0], [eps / 6.0], [eps / 5.0], [eps / 6.0]]
+        assert monitors._interaction_times(eps, cache, 64) == oracle_interaction_times(eps, cache)
+        assert oracle_interaction_times(eps, cache) == [2, 4]
+        # tau_4 never reached: no window opens
+        assert monitors._interaction_times(eps, [[eps], [eps / 3.0]], 64) == []
+        assert oracle_interaction_times(eps, [[eps], [eps / 3.0]]) == []
+
     def test_engineered_contact_recorded(self):
         x = np.array([[0.0, 0.0], [0.999, 0.12], [0.999, -0.12]])
         cfg = ModelConfig(initial=x, epsilon=1.0,

@@ -12,6 +12,7 @@ import mixedhk.monitors as monitors
 from mixedhk import (
     Checker,
     ModelConfig,
+    OpinionState,
     Profile,
     StubbornnessSchedule,
     batch_run,
@@ -24,7 +25,7 @@ from mixedhk import (
     simulate,
 )
 from mixedhk.dynamics import SCHEDULE_KINDS, squared_distances
-from mixedhk.profile import analyze_state, opinions_equal
+from mixedhk.profile import analyze_state, neighbor_spread, opinions_equal
 from conftest import (
     all_graphs,
     oracle_merge_events,
@@ -35,7 +36,7 @@ from conftest import (
     random_alpha,
 )
 
-DIMS = (1, 2, 8, 9)
+DIMS = (1, 2, 3, 8, 9)
 
 
 def _schedule(kind: str, rng: np.random.Generator, n: int, steps: int) -> StubbornnessSchedule:
@@ -89,10 +90,11 @@ def test_analysis_and_merges_match_the_oracles(kind, d):
         assert _bits(analysis.diameter) == _bits(diameter(x))
         d2 = squared_distances(x)
         assert _bits(analysis.energy) == _bits(np.minimum(d2, eps * eps).sum())
+        spread = neighbor_spread(analysis.x, analysis.mask, np.arange(state.n))
         for i in range(state.n):
             diffs = x[np.flatnonzero(analysis.mask[i])] - x[i]
             want = np.sqrt((diffs * diffs).sum(axis=1).max())
-            assert _bits(analysis.spread[i]) == _bits(want)
+            assert _bits(spread[i]) == _bits(want)
     got = [(e.t, e.i, e.j, e.departed_later) for e in detect_merge_events(traj.states)]
     assert got == oracle_merge_events(traj.states)
 
@@ -134,14 +136,89 @@ def test_streamed_check_matches_simulate_then_check(kind, d, monkeypatch):
     assert got == [json.dumps(batch_run(cfg, 2, 40, delta, hull=hull)) for delta, hull in cases]
 
 
+def _same_analysis(got, want) -> bool:
+    return (got.mask.tobytes() == want.mask.tobytes()
+            and got.labels.tobytes() == want.labels.tobytes()
+            and got.degrees.tobytes() == want.degrees.tobytes()
+            and _bits(got.component_diameters) == _bits(want.component_diameters)
+            and _bits([got.diameter, got.energy]) == _bits([want.diameter, want.energy]))
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+def test_analysis_from_the_previous_state_matches_a_fresh_one(kind):
+    seen = {"reused": 0, "changed": 0}
+    for d in (1, 2):
+        traj = _trajectory(kind, d, seed=77 + 1000 * d + SCHEDULE_KINDS.index(kind), steps=40)
+        previous = analyze_state(traj.state_at(0))
+        for t in range(1, len(traj.states)):
+            state = traj.state_at(t)
+            got = analyze_state(state, previous)
+            assert _same_analysis(got, analyze_state(state))
+            if got.labels is previous.labels:
+                assert got.mask.tobytes() == previous.mask.tobytes()
+                seen["reused"] += 1
+            else:
+                assert got.mask.tobytes() != previous.mask.tobytes()
+                seen["changed"] += 1
+            previous = got
+    assert seen["reused"] and seen["changed"]
+
+
+def test_analysis_relabels_a_changed_mask_with_equal_degrees():
+    # pairs {0, 1} and {2, 3}, then pairs {0, 2} and {1, 3}: every degree
+    # stays 2 while the mask and the component labels change
+    before = OpinionState(0, np.array([[0.0], [0.5], [5.0], [5.5]]), 1.0)
+    after = OpinionState(1, np.array([[0.0], [5.0], [0.5], [5.5]]), 1.0)
+    previous = analyze_state(before)
+    got = analyze_state(after, previous)
+    assert got.degrees.tobytes() == previous.degrees.tobytes()
+    assert got.labels.tolist() == [0, 1, 0, 1] != previous.labels.tolist()
+    assert _same_analysis(got, analyze_state(after))
+    # an unchanged mask keeps the labels array itself
+    moved = OpinionState(2, after.x + 0.25, 1.0)
+    assert analyze_state(moved, got).labels is got.labels
+    assert _same_analysis(analyze_state(moved, got), analyze_state(moved))
+
+
+def test_budgets_of_stubborn_agents_with_a_large_spread(monkeypatch):
+    # agents 0-2 are absolutely stubborn at the middle and the ends of a wide
+    # cluster: their spread is large, but their budget terms stay +0.0
+    x = np.array([[0.0], [-0.9], [0.9], [-0.6], [0.6], [-0.3], [0.3], [5.0]])
+    alpha = np.array([1.0, 1.0, 1.0, 0.0, 0.5, 0.25, 0.9, 0.0])
+    cfg = ModelConfig(x, 1.0, StubbornnessSchedule("constant", alpha=alpha), 30,
+                      consensus_tol=1e-300)
+    traj = simulate(cfg)
+    budgets = []
+    real = monitors._movement_budgets
+
+    def keep(*args):
+        budgets.extend(real(*args))
+        return budgets
+
+    monkeypatch.setattr(monitors, "_movement_budgets", keep)
+    report = check_trajectory(traj, hull=False)
+    assert [b.agent for b in budgets] == list(range(traj.n))
+    partial = []
+    for budget in budgets:
+        terms, sums, ok, violations = oracle_movement_budget(traj, budget.agent)
+        assert _bits(budget.terms) == _bits(terms)
+        assert _bits(budget.partial_sums) == _bits(sums)
+        assert (budget.bound_ok, budget.violations) == (ok, violations)
+        partial.append(sums[-1])
+    assert _bits(report["partial_sums"]) == _bits(partial)
+    assert _bits(partial[:3]) == _bits([0.0] * 3)
+    spread0 = np.abs(traj.states[0][3:7] - traj.states[0][0]).max()
+    assert spread0 > 0.5
+
+
 def _track_analyses(monkeypatch) -> dict:
     """Patch analyze_state where the check and the run call it; the returned
     dict counts the calls and the most analyses alive at once."""
     made = []
     seen = {"calls": 0, "most": 0}
 
-    def tracked(state):
-        analysis = analyze_state(state)
+    def tracked(state, *args, **kwargs):
+        analysis = analyze_state(state, *args, **kwargs)
         made.append(weakref.ref(analysis))
         seen["calls"] += 1
         seen["most"] = max(seen["most"], sum(ref() is not None for ref in made))
