@@ -17,6 +17,7 @@ import numpy as np
 
 from .batch import batch_run
 from .config import parse_config
+from .dynamics import OpinionState, _check_alpha
 from .errors import MixedHKError
 from .monitors import check_trajectory
 from .profile import build_profile
@@ -133,8 +134,6 @@ def _cmd_spectral(args) -> int:
         raise MixedHKError("spectral needs exactly one of --config or --trajectory")
     if args.config is not None:
         config = parse_config(args.config)
-        from .dynamics import OpinionState
-
         state = OpinionState(0, config.initial, config.epsilon)
     else:
         traj = read_trajectory(args.trajectory)
@@ -146,6 +145,7 @@ def _cmd_spectral(args) -> int:
     report = check_cheeger(profile).as_json()
     if args.alpha is not None:
         alpha = np.array([float(v) for v in args.alpha.split(",")])
+        _check_alpha(alpha)  # a wrong length is reported as skipped below
     else:
         alpha = np.zeros(profile.n)
     try:

@@ -1,10 +1,12 @@
 """Graph Laplacian machinery for the update operator I - B(t).
 
 Provides the Laplacian and generalized-Laplacian predicate, a dense cyclic
-Jacobi eigensolver (desk scale, n <= 64), exact brute-force Cheeger constants
-(n <= 16), the factorization of the update operator through the Laplacian,
-and the numerically checked eigenvalue chain that powers the displacement
-lower bound: for a connected profile with all stubbornness below one,
+Jacobi eigensolver (desk scale, n <= 64), exact Cheeger constants (n <= 16)
+by an exhaustive search that builds every subset's boundary from a smaller
+subset's (subset doubling), the factorization of the update operator through
+the Laplacian, and the numerically checked eigenvalue chain that powers the
+displacement lower bound: for a connected profile with all stubbornness
+below one,
 
     lambda_2((I-B)'(I-B)) >= ((1 - max alpha) / n)^2 * lambda_2(L)^2
 
@@ -14,11 +16,12 @@ i(G)^2 / (2 max_degree), which for connected graphs keeps it above 2/n^3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import averaging_matrix
+from .dynamics import _check_alpha, averaging_matrix
 from .errors import NumericalFailure, SizeLimitError
 from .profile import Profile
 
@@ -51,8 +54,9 @@ def eigh(M: np.ndarray, *, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray
     Returns (eigenvalues ascending, eigenvector columns, orthonormal). Signs
     are canonicalized so each eigenvector's largest-magnitude entry is
     positive, which makes positivity assertions deterministic. Intended for
-    desk-scale matrices (n <= 64); raises NumericalFailure if the
-    off-diagonal mass does not vanish within ``max_sweeps`` sweeps.
+    desk-scale matrices (n <= 64). Raises ValueError for a NaN or infinite
+    entry, and NumericalFailure if the off-diagonal mass does not vanish
+    within ``max_sweeps`` sweeps.
     """
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -62,17 +66,21 @@ def eigh(M: np.ndarray, *, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray
     n = A.shape[0]
     if n > EIGH_MAX_N:
         raise SizeLimitError(f"dense Jacobi solver capped at n <= {EIGH_MAX_N}, got {n}")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix entries must be finite")
     scale = float(np.abs(A).max(initial=0.0))
     if float(np.abs(A - A.T).max(initial=0.0)) > 1e-10 * max(scale, 1.0):
         raise ValueError("matrix must be symmetric within 1e-10")
     A = (A + A.T) / 2.0
-    V = np.eye(n)
     if n == 1:
-        return np.array([A[0, 0]]), V
+        return np.array([A[0, 0]]), np.eye(1)
     fro = float(np.sqrt((A * A).sum()))
     if fro == 0.0:
-        return np.zeros(n), V
+        return np.zeros(n), np.eye(n)
 
+    # A sits on top of V, so one column rotation of W turns both
+    W = np.vstack((A, np.eye(n)))
+    A, V = W[:n], W[n:]
     for _ in range(max_sweeps):
         off = A - np.diag(np.diag(A))
         off_norm = float(np.sqrt((off * off).sum()))
@@ -81,29 +89,21 @@ def eigh(M: np.ndarray, *, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray
         thresh = off_norm / (n * n)
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = A[p, q]
+                apq = float(A[p, q])
                 if abs(apq) <= thresh * 1e-4:
                     continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                # apq != 0 here; Python floats overflow to inf like numpy's
+                theta = (float(A[q, q]) - float(A[p, p])) / (2.0 * apq)
                 if theta >= 0.0:
-                    t = 1.0 / (theta + np.sqrt(1.0 + theta * theta))
+                    t = 1.0 / (theta + math.sqrt(1.0 + theta * theta))
                 else:
-                    t = -1.0 / (-theta + np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                    t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
+                # each right-hand side is built from the old vectors first
+                W[:, p], W[:, q] = c * W[:, p] - s * W[:, q], s * W[:, p] + c * W[:, q]
+                A[p], A[q] = c * A[p] - s * A[q], s * A[p] + c * A[q]
                 A[p, q] = A[q, p] = 0.0
-                vec_p = V[:, p].copy()
-                vec_q = V[:, q].copy()
-                V[:, p] = c * vec_p - s * vec_q
-                V[:, q] = s * vec_p + c * vec_q
     else:
         raise NumericalFailure(
             f"Jacobi sweep limit {max_sweeps} reached with off-diagonal norm {off_norm}",
@@ -122,13 +122,6 @@ def eigh(M: np.ndarray, *, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray
     return w, V
 
 
-def _popcounts(masks: np.ndarray, n: int) -> np.ndarray:
-    pop = np.zeros_like(masks)
-    for b in range(n):
-        pop += (masks >> b) & 1
-    return pop
-
-
 def cheeger_constant(profile: Profile) -> float:
     """Exact isoperimetric constant by exhaustive subset enumeration.
 
@@ -136,6 +129,15 @@ def cheeger_constant(profile: Profile) -> float:
     n <= 16 (2^16 subsets); beyond that a SizeLimitError tells callers to
     skip the check. For n = 1 there is no admissible subset and the minimum
     over the empty family is +inf.
+
+    The subsets are built by doubling: entry S of ``boundary`` and ``pop``
+    is the subset with bitmask S, and adding vertex v to every S over
+    vertices below v gives
+
+        boundary(S + v) = boundary(S) + deg(v) - 2 |N(v) & S|
+
+    with |N(v) & S| read as pop[S & N(v)]. Every entry stays a nonnegative
+    uint32, because boundary(S) and deg(v) both count N(v) & S.
     """
     n = profile.n
     if n > CHEEGER_MAX_N:
@@ -145,11 +147,16 @@ def cheeger_constant(profile: Profile) -> float:
         )
     if n == 1:
         return float("inf")
-    masks = np.arange(1, 1 << n, dtype=np.uint32)
-    pop = _popcounts(masks, n)
-    boundary = np.zeros(masks.shape[0], dtype=np.uint32)
-    for i, j in profile.edges:
-        boundary += ((masks >> i) & 1) ^ ((masks >> j) & 1)
+    bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
+    nbmask = (profile.mask * bits).sum(axis=1, dtype=np.uint32)
+    masks = np.arange(1 << (n - 1), dtype=np.uint32)
+    boundary = np.zeros(1, dtype=np.uint32)
+    pop = np.zeros(1, dtype=np.uint32)
+    for v in range(n):
+        inside = pop[masks[:1 << v] & nbmask[v]]
+        boundary = np.concatenate((boundary, boundary + int(profile.degrees[v] - 1) - 2 * inside))
+        pop = np.concatenate((pop, pop + 1))
+    boundary, pop = boundary[1:], pop[1:]  # drop the empty set
     valid = 2 * pop <= n
     return float((boundary[valid] / pop[valid]).min())
 
@@ -227,14 +234,16 @@ def update_factorization(profile: Profile, alpha: np.ndarray) -> UpdateFactoriza
     """Verify I - B = (I - diag(alpha)) (I + D)^(-1) L for one step operator.
 
     B is assembled from the profile's averaging matrix (``build_profile``
-    gives the profile of a state). Requires every alpha_i < 1 so the
-    stubbornness factor is invertible. The identity is exact algebra; the
+    gives the profile of a state). Requires every alpha_i in [0, 1), as
+    ``step`` checks it (ConfigError otherwise), and below 1 so the
+    stubbornness factor is invertible (ValueError). The identity is exact algebra; the
     reported residual only measures rounding (<= 1e-12 on any desk-scale
     input).
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (profile.n,):
         raise ValueError(f"alpha has shape {alpha.shape}, expected ({profile.n},)")
+    _check_alpha(alpha)
     if np.any(alpha >= 1.0):
         raise ValueError("update_factorization requires every alpha_i < 1 "
                          "(stubbornness factor must be invertible)")
@@ -261,9 +270,11 @@ def lambda2_chain_check(profile: Profile, alpha: np.ndarray, *, samples: int = 1
       variational       x'Q'Qx >= lambda_2(Q'Q) - 1e-9 for ``samples`` random
                         unit vectors orthogonal to 1 (seeded, reproducible).
 
-    Raises ValueError for disconnected profiles (0 would not be simple) and
-    SizeLimitError beyond n = 16.
+    Raises ValueError for disconnected profiles (0 would not be simple) or a
+    negative ``samples``, and SizeLimitError beyond n = 16.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     fact = update_factorization(profile, alpha)
     n = profile.n
     if n < 2:
@@ -295,20 +306,16 @@ def lambda2_chain_check(profile: Profile, alpha: np.ndarray, *, samples: int = 1
     smallest_vec = vecs_lap[:, 0]
     perron = lap_simple and bool(np.all(smallest_vec > 0.0))
 
-    rng = np.random.default_rng(seed)
-    variational = True
-    worst = float("inf")
-    for _ in range(samples):
-        x = rng.standard_normal(n)
-        x -= x.mean()
-        nrm = np.linalg.norm(x)
-        if nrm < 1e-12:
-            continue
-        x /= nrm
-        val = float(x @ QtQ @ x)
-        worst = min(worst, val)
-        if val < lam2_qtq - tol:
-            variational = False
+    # one draw fills the samples in C order, the stream of one draw per row;
+    # the stacked 1 x n matmuls reach the dot and gemv kernels of x @ QtQ @ x
+    X = np.random.default_rng(seed).standard_normal((samples, n))
+    X -= X.mean(axis=1, keepdims=True)
+    nrm = np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+    keep = nrm >= 1e-12
+    X = X[keep] / nrm[keep, None]
+    vals = ((X[:, None, :] @ QtQ) @ X[:, :, None])[:, 0, 0]
+    worst = float(vals.min(initial=float("inf")))
+    variational = not bool((vals < lam2_qtq - tol).any())
     return {
         "zero_simple": bool(zero_simple),
         "chain_bound": bool(chain_bound),

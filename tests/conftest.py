@@ -392,3 +392,139 @@ def eigh_batch(mats: np.ndarray, *, sweeps: int = 14) -> tuple[np.ndarray, np.nd
     signs[signs == 0.0] = 1.0
     V = V * signs[:, None, :]
     return w, V
+
+
+# Spectral oracles: the routes the package replaced by array passes, kept
+# step for step, so the fast routes can be compared bit for bit. Cheeger
+# counts each subset's boundary edge by edge; Jacobi rotates copies of the
+# columns and rows of A and V one by one; the variational samples are drawn
+# and evaluated one at a time.
+
+def _oracle_popcounts(masks: np.ndarray, n: int) -> np.ndarray:
+    pop = np.zeros_like(masks)
+    for b in range(n):
+        pop += (masks >> b) & 1
+    return pop
+
+
+def oracle_cheeger_constant(profile) -> float:
+    """Isoperimetric constant with one uint32 pass over all subsets per edge."""
+    n = profile.n
+    if n > CHEEGER_MAX_N:
+        raise SizeLimitError(f"exhaustive Cheeger search capped at n <= {CHEEGER_MAX_N}")
+    if n == 1:
+        return float("inf")
+    masks = np.arange(1, 1 << n, dtype=np.uint32)
+    pop = _oracle_popcounts(masks, n)
+    boundary = np.zeros(masks.shape[0], dtype=np.uint32)
+    for i, j in profile.edges:
+        boundary += ((masks >> i) & 1) ^ ((masks >> j) & 1)
+    valid = 2 * pop <= n
+    return float((boundary[valid] / pop[valid]).min())
+
+
+def oracle_eigh(M: np.ndarray, *, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi with numpy scalars and a copy of every rotated vector."""
+    A = np.asarray(M, dtype=np.float64)
+    n = A.shape[0]
+    A = (A + A.T) / 2.0
+    V = np.eye(n)
+    if n == 1:
+        return np.array([A[0, 0]]), V
+    fro = float(np.sqrt((A * A).sum()))
+    if fro == 0.0:
+        return np.zeros(n), V
+    for _ in range(max_sweeps):
+        off = A - np.diag(np.diag(A))
+        off_norm = float(np.sqrt((off * off).sum()))
+        if off_norm <= 1e-14 * fro:
+            break
+        thresh = off_norm / (n * n)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if abs(apq) <= thresh * 1e-4:
+                    continue
+                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                if theta >= 0.0:
+                    t = 1.0 / (theta + np.sqrt(1.0 + theta * theta))
+                else:
+                    t = -1.0 / (-theta + np.sqrt(1.0 + theta * theta))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                col_p = A[:, p].copy()
+                col_q = A[:, q].copy()
+                A[:, p] = c * col_p - s * col_q
+                A[:, q] = s * col_p + c * col_q
+                row_p = A[p, :].copy()
+                row_q = A[q, :].copy()
+                A[p, :] = c * row_p - s * row_q
+                A[q, :] = s * row_p + c * row_q
+                A[p, q] = A[q, p] = 0.0
+                vec_p = V[:, p].copy()
+                vec_q = V[:, q].copy()
+                V[:, p] = c * vec_p - s * vec_q
+                V[:, q] = s * vec_p + c * vec_q
+    else:
+        raise NumericalFailure(
+            f"Jacobi sweep limit {max_sweeps} reached with off-diagonal norm {off_norm}",
+            best=np.sort(np.diag(A)),
+            gap=off_norm,
+        )
+    w = np.diag(A).copy()
+    order = np.argsort(w, kind="stable")
+    w = w[order]
+    V = V[:, order]
+    for k in range(n):
+        col = V[:, k]
+        if col[int(np.argmax(np.abs(col)))] < 0.0:
+            V[:, k] = -col
+    return w, V
+
+
+def oracle_lambda2_chain_check(profile, alpha: np.ndarray, *, samples: int = 1000,
+                               seed: int = 0) -> dict:
+    """The eigenvalue chain report with ``oracle_eigh`` and one draw, one
+    norm and one quadratic form per variational sample."""
+    from mixedhk.spectral import update_factorization
+
+    fact = update_factorization(profile, alpha)
+    n = profile.n
+    alpha = np.asarray(alpha, dtype=np.float64)
+    QtQ = fact.I_minus_B.T @ fact.I_minus_B
+    w_qtq, _ = oracle_eigh(QtQ)
+    tol = 1e-9 * max(float(np.abs(QtQ).max()), 1.0)
+    near_zero = int(np.sum(np.abs(w_qtq) <= tol))
+    ones = np.ones(n) / np.sqrt(n)
+    zero_simple = near_zero == 1 and float(np.linalg.norm(QtQ @ ones)) <= tol
+    w_lap, vecs_lap = oracle_eigh(fact.laplacian)
+    lam2_qtq = float(w_qtq[1])
+    lam2_lap = float(w_lap[1])
+    floor = ((1.0 - float(alpha.max())) / n) ** 2 * lam2_lap**2
+    perron = (w_lap[1] - w_lap[0]) > tol and bool(np.all(vecs_lap[:, 0] > 0.0))
+
+    rng = np.random.default_rng(seed)
+    variational = True
+    worst = float("inf")
+    for _ in range(samples):
+        x = rng.standard_normal(n)
+        x -= x.mean()
+        nrm = np.linalg.norm(x)
+        if nrm < 1e-12:
+            continue
+        x /= nrm
+        val = float(x @ QtQ @ x)
+        worst = min(worst, val)
+        if val < lam2_qtq - tol:
+            variational = False
+    return {
+        "zero_simple": bool(zero_simple),
+        "chain_bound": bool(lam2_qtq >= floor - tol),
+        "perron_frobenius": bool(perron),
+        "variational": bool(variational),
+        "lambda2_qtq": lam2_qtq,
+        "lambda2_laplacian": lam2_lap,
+        "chain_floor": floor,
+        "variational_min_sampled": worst,
+        "factorization_residual": fact.residual,
+    }

@@ -155,6 +155,19 @@ class TestCli:
         assert main(["spectral", "--config", str(sync_config), "--alpha", "0,0,0,0"]) == 0
         assert (analyses, masks) == ([1], [0])
 
+    @pytest.mark.parametrize("alpha", ["nan,0,0,0", "-0.5,0,0,0", "inf,0,0,0", "0,1.5,0,0"])
+    def test_spectral_rejects_invalid_stubbornness(self, sync_config, capsys, alpha):
+        assert main(["spectral", "--config", str(sync_config), f"--alpha={alpha}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: every stubbornness entry must lie in [0, 1]\n"
+
+    def test_spectral_wrong_alpha_length_is_skipped(self, sync_config, capsys):
+        assert main(["spectral", "--config", str(sync_config), "--alpha", "0,0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "skipped" in report["update_factorization"]
+        assert "skipped" in report["lambda2_chain"]
+
     def test_single_agent_spectral_report_is_strict_json(self, tmp_path, capsys):
         # the Cheeger constant of one agent is +inf (a minimum over no subsets)
         cfg = tmp_path / "one.cfg"

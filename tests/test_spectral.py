@@ -1,9 +1,12 @@
 """Laplacians, the Jacobi solvers, Cheeger constants, and the operator chain."""
 
+import json
+
 import numpy as np
 import pytest
 
 from mixedhk import (
+    ConfigError,
     NumericalFailure,
     OpinionState,
     Profile,
@@ -25,7 +28,10 @@ from conftest import (
     is_connected_edges,
     oracle_adjacency,
     oracle_averaging,
+    oracle_cheeger_constant,
+    oracle_eigh,
     oracle_is_generalized_laplacian,
+    oracle_lambda2_chain_check,
     oracle_laplacian,
     oracle_profile,
     random_opinions,
@@ -382,3 +388,118 @@ class TestMaskAgainstEdgeOracles:
                 candidates.append(M)
             for M in candidates:
                 assert is_generalized_laplacian(M, prof) == oracle_is_generalized_laplacian(M, prof)
+
+
+def random_graph(rng, n: int) -> Profile:
+    """Edge probability drawn per graph, so sparse, disconnected and dense
+    graphs all appear."""
+    p = float(rng.uniform(0.0, 1.0))
+    return Profile.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                  if rng.random() < p])
+
+
+def random_connected_graph(rng, n: int) -> Profile:
+    while True:
+        prof = random_graph(rng, n)
+        if prof.is_connected():
+            return prof
+
+
+def symmetric_test_matrices():
+    """n = 1, zero, diagonal, repeated-eigenvalue, slightly asymmetric,
+    Laplacian and random symmetric matrices up to n = 20."""
+    rng = np.random.default_rng(71)
+    yield from (np.array([[3.5]]), np.array([[0.0]]), np.array([[-2.0]]))
+    yield from (np.zeros((4, 4)), np.eye(5), np.diag([3.0, -1.0, 0.0, 2.5, -7.0, 1e-3]))
+    for n in (2, 3, 5, 8, 13):
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        d = rng.choice([1.0, 2.0, 5.0], size=n)  # repeated eigenvalues
+        yield (q * d) @ q.T
+        yield laplacian(Profile.from_edges(n, [(i, j) for i in range(n)
+                                               for j in range(i + 1, n)]))
+    for _ in range(60):
+        n = int(rng.integers(2, 21))
+        M = rng.normal(size=(n, n)) * float(rng.uniform(0.1, 10.0))
+        M = (M + M.T) / 2.0
+        yield M
+        yield M + rng.uniform(-1e-11, 1e-11, size=(n, n))  # within 1e-10 of symmetric
+        yield laplacian(random_graph(rng, n))
+
+
+class TestFastRoutesMatchOracles:
+    """Cheeger by subset doubling, Jacobi on the stacked (A; V) array and the
+    variational samples drawn at once give the oracles' bits."""
+
+    def test_cheeger_every_graph_up_to_6(self):
+        for n in range(1, 7):
+            for edges in all_graphs(n):
+                prof = Profile.from_edges(n, edges)
+                fast, slow = cheeger_constant(prof), oracle_cheeger_constant(prof)
+                assert np.float64(fast).tobytes() == np.float64(slow).tobytes(), (n, edges)
+
+    def test_cheeger_random_graphs_up_to_16(self):
+        rng = np.random.default_rng(73)
+        profiles = [Profile.from_edges(16, []),
+                    Profile.from_edges(16, [(i, j) for i in range(16) for j in range(i + 1, 16)]),
+                    Profile.from_edges(16, [(i, j) for i in range(16) for j in range(i + 1, 16)
+                                            if (i < 8) == (j < 8)])]
+        profiles += [random_graph(rng, int(rng.integers(7, 17))) for _ in range(30)]
+        assert any(not prof.is_connected() for prof in profiles[3:])
+        for prof in profiles:
+            fast, slow = cheeger_constant(prof), oracle_cheeger_constant(prof)
+            assert np.float64(fast).tobytes() == np.float64(slow).tobytes(), prof.edges
+
+    def test_eigh(self):
+        for M in symmetric_test_matrices():
+            w, V = eigh(M)
+            w_oracle, V_oracle = oracle_eigh(M)
+            assert w.tobytes() == w_oracle.tobytes()
+            assert V.tobytes() == V_oracle.tobytes()
+
+    def test_eigh_sweep_limit_failure(self):
+        rng = np.random.default_rng(79)
+        for n, sweeps in ((16, 1), (20, 1), (9, 2)):
+            M = rng.normal(size=(n, n))
+            M = (M + M.T) / 2.0
+            with pytest.raises(NumericalFailure) as fast:
+                eigh(M, max_sweeps=sweeps)
+            with pytest.raises(NumericalFailure) as slow:
+                oracle_eigh(M, max_sweeps=sweeps)
+            assert str(fast.value) == str(slow.value)
+            assert fast.value.best.tobytes() == slow.value.best.tobytes()
+            assert fast.value.gap == slow.value.gap
+
+    def test_lambda2_chain_check(self):
+        rng = np.random.default_rng(83)
+        for k in range(24):
+            n = int(rng.integers(2, 17))
+            prof = random_connected_graph(rng, n)
+            alpha = rng.uniform(0.0, 0.95, size=n)
+            alpha[rng.random(n) < 0.3] = 0.0
+            for samples in ((0, 1, 200, 1000)[k % 4], (1000, 200, 1, 0)[k % 4]):
+                seed = int(rng.integers(2**32))
+                fast = lambda2_chain_check(prof, alpha, samples=samples, seed=seed)
+                slow = oracle_lambda2_chain_check(prof, alpha, samples=samples, seed=seed)
+                assert json.dumps(fast) == json.dumps(slow), (n, samples, seed)
+
+
+class TestSpectralInputs:
+    @pytest.mark.parametrize("where, value", [
+        ((0, 0), np.inf), ((1, 1), -np.inf), ((0, 0), np.nan), ((0, 1), np.nan), ((2, 1), np.inf)])
+    def test_eigh_rejects_non_finite_entries(self, where, value):
+        M = laplacian(p3())
+        M[where] = value
+        with pytest.raises(ValueError, match="finite"):
+            eigh(M)
+
+    def test_negative_sample_count_rejected(self):
+        with pytest.raises(ValueError, match="samples"):
+            lambda2_chain_check(k2(), np.zeros(2), samples=-1)
+        assert lambda2_chain_check(k2(), np.zeros(2), samples=0)["variational"]
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, np.inf, 1.5])
+    def test_update_factorization_rejects_invalid_stubbornness(self, bad):
+        with pytest.raises(ConfigError):
+            update_factorization(p3(), np.array([0.0, bad, 0.0]))
+        with pytest.raises(ConfigError):
+            lambda2_chain_check(p3(), np.array([0.0, bad, 0.0]))
