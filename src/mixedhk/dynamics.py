@@ -16,7 +16,10 @@ an independent implementation):
 
 * squared distances accumulate per coordinate, ascending, left to right;
 * the neighbor predicate is ``dist_sq <= epsilon * epsilon`` in plain
-  floating point (ties at the boundary are neighbors);
+  floating point (ties at the boundary are neighbors); the neighbor mask is
+  computed in row blocks of at most ``MASK_BLOCK_BYTES`` of squared
+  distances, each entry summed in the same order, so above one block no
+  n-by-n float matrix is built;
 * neighbor means accumulate over ascending agent index, left to right, then
   divide by the neighbor count; ``neighbor_means`` takes any block of
   neighbor-mask rows and sums each row with one sequential
@@ -46,6 +49,9 @@ from .errors import ConfigError, ScheduleExhaustedError
 
 SCHEDULE_KINDS = ("synchronous", "asynchronous", "constant", "power_law", "table")
 _TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max  # normal float range
+# Byte budget of one row block of squared distances when a neighbor mask is
+# built (about 65 rows at n = 1000): the block stays in cache.
+MASK_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -241,21 +247,70 @@ def squared_distances(x: np.ndarray) -> np.ndarray:
     Coordinates are added ascending, left to right, so an independent
     implementation following the same order reproduces every bit.
     """
-    n, d = x.shape
-    acc = (x[:, None, 0] - x[None, :, 0]) ** 2
-    for k in range(1, d):
-        acc = acc + (x[:, None, k] - x[None, :, k]) ** 2
+    everything = slice(None)
+    return _squared_distance_rows(np.ascontiguousarray(x.T), everything, everything)
+
+
+def _squared_distance_rows(xt: np.ndarray, rows: slice, cols: slice,
+                           out: Optional[np.ndarray] = None,
+                           scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """The ``rows`` by ``cols`` block of the squared-distance matrix of the
+    opinions whose transpose (one contiguous row per coordinate) is ``xt``,
+    accumulated per coordinate, ascending, into ``out``; ``scratch`` holds
+    each coordinate's squared differences. Both are buffers of the block's
+    shape, allocated when None."""
+    acc = np.subtract(xt[0, rows, None], xt[0, cols], out=out)
+    np.square(acc, out=acc)
+    for k in range(1, xt.shape[0]):
+        scratch = np.subtract(xt[k, rows, None], xt[k, cols], out=scratch)
+        np.square(scratch, out=scratch)
+        acc += scratch
     return acc
+
+
+def _neighbor_mask(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The neighbor mask of opinions ``x``, and their squared-distance matrix
+    when it fits one block (else None).
+
+    The mask is computed one block of rows at a time, each block's squared
+    distances taking at most ``MASK_BLOCK_BYTES``, so a block stays in cache
+    while it is compared against epsilon**2; no n-by-n float matrix is
+    built. A block covers the columns from its first row on; the entries
+    left of it are copied from the transposed blocks above, since
+    (a - b)**2 and (b - a)**2 have the same bits and the coordinates are
+    summed in the same order. So every entry has the bits of
+    ``squared_distances(x) <= epsilon * epsilon``. When all n rows fit one
+    block, that block is ``squared_distances(x)``.
+    """
+    n = x.shape[0]
+    eps2 = epsilon * epsilon
+    rows = max(1, MASK_BLOCK_BYTES // (8 * n))
+    if rows >= n:
+        d2 = squared_distances(x)
+        return d2 <= eps2, d2
+    xt = np.ascontiguousarray(x.T)
+    mask = np.empty((n, n), dtype=bool)
+    acc, scratch = np.empty(rows * n), np.empty(rows * n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        shape = (hi - lo, n - lo)
+        size = shape[0] * shape[1]
+        d2 = _squared_distance_rows(xt, slice(lo, hi), slice(lo, n),
+                                    acc[:size].reshape(shape), scratch[:size].reshape(shape))
+        np.less_equal(d2, eps2, out=mask[lo:hi, lo:])
+        mask[hi:, lo:hi] = mask[lo:hi, hi:].T
+    return mask, None
 
 
 def neighbor_matrix(state: OpinionState) -> np.ndarray:
     """Boolean n-by-n matrix; entry (i, j) true iff j is a neighbor of i.
 
     The diagonal is always true, and the relation is symmetric. Boundary ties
-    (distance exactly epsilon) count as neighbors.
+    (distance exactly epsilon) count as neighbors. The matrix is computed in
+    row blocks of squared distances (see ``MASK_BLOCK_BYTES``), each entry
+    with the bits of ``squared_distances(x) <= epsilon * epsilon``.
     """
-    d2 = squared_distances(state.x)
-    return d2 <= state.epsilon * state.epsilon
+    return _neighbor_mask(state.x, state.epsilon)[0]
 
 
 def neighborhoods(state: OpinionState) -> list[set[int]]:

@@ -347,7 +347,7 @@ def _floor(state: OpinionState, next_state: OpinionState, alpha: np.ndarray, del
     alpha = np.asarray(alpha, dtype=np.float64)
     if np.any(alpha >= 1.0):
         return FloorVerdict(False, None, None, None, "some alpha_i = 1")
-    if all(dm <= delta for dm in now.component_diameters):
+    if now.components_within(delta):
         return FloorVerdict(False, None, None, None, "every component delta-trivial")
     n = state.n
     lhs = float(((next_state.x - state.x) ** 2).sum())
@@ -419,7 +419,7 @@ def _equivalence_step(t: int, now: StateAnalysis, nxt: StateAnalysis, delta: flo
                       epsilon: float) -> Optional[dict]:
     """interaction_equivalence's record for step t -> t+1, or None when the
     profile at t has a delta-nontrivial component."""
-    if not all(dm <= delta for dm in now.component_diameters):
+    if not now.components_within(delta):
         return None
     next_diams = nxt.component_diameters
     c1 = any(dm > delta for dm in next_diams)
@@ -549,7 +549,7 @@ class Checker:
             "tau_delta": _first_settled(diameters, delta),
             "tau_bound": tau_bound,
             "sup_alpha": sup_a,
-            "consensus_reached": all(dm <= traj.consensus_tol for dm in last.component_diameters),
+            "consensus_reached": last.components_within(traj.consensus_tol),
             "final_diameter": last.diameter,
             "partial_sums": [b.partial_sums[-1] if b.partial_sums else 0.0 for b in budgets],
             "interaction_times": _interaction_times(traj.epsilon, diameters, 64),

@@ -6,22 +6,29 @@ computes convex-hull diameters and distances, decides delta-triviality and
 delta-equilibrium, and detects merge events along a trajectory.
 
 One ``StateAnalysis`` per state holds everything the monitors read off it:
-the neighbor mask, degrees, component labels and diameters and the capped
-energy, all from one squared-distance matrix. It is a ``Profile``: the mask
-is the only form in which a profile graph is held. The independent
-pure-Python edge and merge-detection routes live in the tests as oracles, so
-agreement between this module and the dynamics stays a checked invariant.
+the neighbor mask, degrees and component labels, and the component
+diameters, the state's diameter and the capped energy. When the state fits
+one mask block, all of them come from that block, the whole squared-distance
+matrix. Above one block the geometry is computed on first read, from a
+single ``squared_distances`` call, so a run that reads only the mask and
+its consensus test builds no n-by-n float matrix: the mask is computed in
+row blocks, and ``components_within`` rejects most states from one
+distance per agent. A ``StateAnalysis`` is a ``Profile``: the mask is the
+only form in which a profile graph is held. The independent pure-Python
+edge and merge-detection routes and the eager analysis live in the tests
+as oracles, so agreement between this module and the dynamics stays a
+checked invariant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .dynamics import OpinionState, squared_distances
+from .dynamics import OpinionState, _neighbor_mask, squared_distances
 from .errors import NumericalFailure
 
 
@@ -110,19 +117,77 @@ def _component_labels(mask: np.ndarray, degrees: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class StateAnalysis(Profile):
     """A state's profile plus the per-state quantities the monitors read,
-    computed once.
+    each computed at most once.
 
-    Everything comes from one squared-distance matrix, which is not kept:
-    only the neighbor mask and the scalars and vectors derived from it are.
-    Each value equals, bit for bit, what the single-purpose routine computes
-    (``neighbor_matrix``, ``diameter`` of the state and of each component,
-    ``monitors.energy``).
+    The neighbor mask, degrees and component labels are computed when the
+    analysis is made. So is the geometry (``component_diameters``,
+    ``diameter`` and ``energy``) when the state fits one mask block, from
+    that block, which is the whole squared-distance matrix. Above one block
+    the geometry is computed on first read, all three from one
+    ``squared_distances`` call. No matrix is kept. Each value equals, bit
+    for bit, what the single-purpose routine computes (``neighbor_matrix``,
+    ``diameter`` of the state and of each component, ``monitors.energy``).
     """
 
     x: np.ndarray  # the state's opinions (the same array, not a copy)
-    component_diameters: list  # float per component, in label order
-    diameter: float  # diameter of the whole state
-    energy: float  # capped pairwise energy
+    epsilon: float
+    # (component diameters, diameter, energy), or None until first read
+    _geometry: Optional[tuple] = field(default=None, repr=False)
+
+    def _read_geometry(self) -> tuple:
+        if self._geometry is None:
+            object.__setattr__(self, "_geometry", _state_geometry(
+                squared_distances(self.x), self.labels, self.epsilon))
+        return self._geometry
+
+    @property
+    def component_diameters(self) -> list:
+        """Diameter of each component, in label order."""
+        return self._read_geometry()[0]
+
+    @property
+    def diameter(self) -> float:
+        """Diameter of the whole state."""
+        return self._read_geometry()[1]
+
+    @property
+    def energy(self) -> float:
+        """Capped pairwise energy."""
+        return self._read_geometry()[2]
+
+    def components_within(self, tol: float) -> bool:
+        """True iff every component's diameter is at most ``tol``.
+
+        Rejects cheaply first: an agent farther than ``tol`` from its
+        component's first member proves a component wider than ``tol``,
+        because that distance has the bits of its squared-distance entry and
+        sqrt is monotone. Only otherwise are the component diameters read.
+        When they are known already, they decide at once.
+        """
+        if self._geometry is None:
+            _, first = np.unique(self.labels, return_index=True)
+            offsets = self.x - self.x[first[self.labels]]
+            dist2 = offsets[:, 0] ** 2
+            for k in range(1, offsets.shape[1]):
+                dist2 = dist2 + offsets[:, k] ** 2
+            if np.any(np.sqrt(dist2) > tol):
+                return False
+        return all(dm <= tol for dm in self.component_diameters)
+
+
+def _state_geometry(d2: np.ndarray, labels: np.ndarray, epsilon: float) -> tuple:
+    """(component diameters, diameter, capped energy) of a state, from its
+    squared-distance matrix ``d2`` (capped in place) and component labels.
+
+    A component's diameter is the square root of the largest squared
+    distance inside its block, which is what ``diameter`` computes on the
+    component's points.
+    """
+    row_max = np.max(d2, axis=1, where=labels[:, None] == labels[None, :], initial=0.0)
+    block_max = np.zeros(int(labels.max()) + 1)
+    np.maximum.at(block_max, labels, row_max)
+    diam = float(np.sqrt(d2.max()))
+    return np.sqrt(block_max).tolist(), diam, capped_energy(d2, epsilon)
 
 
 def capped_energy(d2: np.ndarray, epsilon: float) -> float:
@@ -147,18 +212,17 @@ def neighbor_spread(x: np.ndarray, rows: np.ndarray, agents: np.ndarray) -> np.n
 
 
 def analyze_state(state: OpinionState, previous: Optional[StateAnalysis] = None) -> StateAnalysis:
-    """Analyze one state with a single ``squared_distances`` call.
+    """Analyze one state: its neighbor mask (built in row blocks, as
+    ``neighbor_matrix`` builds it), degrees and component labels now, and
+    its geometry from a single ``squared_distances`` call at most: now, from
+    the mask's block, when the state fits one block, else on first read.
 
-    A component's diameter is the square root of the largest squared
-    distance inside its block, which is what ``diameter`` computes on the
-    component's points. ``previous`` is another state's analysis, in
-    practice the one before: when its neighbor mask equals this state's, its
-    component labels are reused instead of searched again. Only the labels
-    array is shared, so ``previous`` itself is not kept alive.
+    ``previous`` is another state's analysis, in practice the one before:
+    when its neighbor mask equals this state's, its component labels are
+    reused instead of searched again. Only the labels array is shared, so
+    ``previous`` itself is not kept alive.
     """
-    x = state.x
-    d2 = squared_distances(x)
-    mask = d2 <= state.epsilon * state.epsilon  # the predicate of neighbor_matrix
+    mask, d2 = _neighbor_mask(state.x, state.epsilon)
     degrees = mask.sum(axis=1)
     # equal degrees first: they are cheap and usually differ when the mask does
     if (previous is not None and degrees.tobytes() == previous.degrees.tobytes()
@@ -166,14 +230,9 @@ def analyze_state(state: OpinionState, previous: Optional[StateAnalysis] = None)
         labels = previous.labels
     else:
         labels = _component_labels(mask, degrees)
-    row_max = np.max(d2, axis=1, where=labels[:, None] == labels[None, :], initial=0.0)
-    block_max = np.zeros(int(labels.max()) + 1)
-    np.maximum.at(block_max, labels, row_max)
-    diam = float(np.sqrt(d2.max()))
-    energy = capped_energy(d2, state.epsilon)
-    del d2
-    return StateAnalysis(state.t, mask, labels, degrees, x, np.sqrt(block_max).tolist(), diam,
-                         energy)
+    # keeping the block until a first read would hold n-by-n floats per live analysis
+    geometry = None if d2 is None else _state_geometry(d2, labels, state.epsilon)
+    return StateAnalysis(state.t, mask, labels, degrees, state.x, state.epsilon, geometry)
 
 
 def build_profile(state: OpinionState) -> Profile:

@@ -49,7 +49,7 @@ def simulate(config: ModelConfig, checker: Optional[Checker] = None) -> Trajecto
             stop_reason = "steady"
             break
         state, analysis = nxt, next_analysis
-        if all(dm <= config.consensus_tol for dm in analysis.component_diameters):
+        if analysis.components_within(config.consensus_tol):
             stop_reason = "consensus"
             break
 

@@ -150,6 +150,37 @@ def oracle_profile(x: np.ndarray, eps: float) -> tuple[set, list]:
     return edges, out
 
 
+def oracle_squared_distances(x: np.ndarray) -> np.ndarray:
+    """The whole squared-distance matrix in one broadcast per coordinate,
+    accumulated ascending: the full-matrix route the row blocks replaced."""
+    acc = (x[:, None, 0] - x[None, :, 0]) ** 2
+    for k in range(1, x.shape[1]):
+        acc = acc + (x[:, None, k] - x[None, :, k]) ** 2
+    return acc
+
+
+def oracle_analyze_state(state):
+    """The eager state analysis: mask, degrees, labels, component diameters,
+    diameter and capped energy, all from one full squared-distance matrix
+    computed up front."""
+    from types import SimpleNamespace
+
+    from mixedhk.profile import _component_labels
+
+    d2 = oracle_squared_distances(state.x)
+    eps2 = state.epsilon * state.epsilon
+    mask = d2 <= eps2
+    degrees = mask.sum(axis=1)
+    labels = _component_labels(mask, degrees)
+    row_max = np.max(d2, axis=1, where=labels[:, None] == labels[None, :], initial=0.0)
+    block_max = np.zeros(int(labels.max()) + 1)
+    np.maximum.at(block_max, labels, row_max)
+    return SimpleNamespace(mask=mask, degrees=degrees, labels=labels,
+                           component_diameters=np.sqrt(block_max).tolist(),
+                           diameter=float(np.sqrt(d2.max())),
+                           energy=float(np.minimum(d2, eps2).sum()))
+
+
 def oracle_opinions_equal(a: np.ndarray, b: np.ndarray, rel: float = 1e-14) -> bool:
     """Merge equality of one pair: bitwise fast path, then relative slack."""
     if a.tobytes() == b.tobytes():
