@@ -6,7 +6,6 @@ from .dynamics import (
     StubbornnessSchedule,
     averaging_matrix,
     neighbor_matrix,
-    neighborhoods,
     schedule_alpha,
     step,
 )
@@ -26,7 +25,6 @@ from .monitors import (
     MovementBudget,
     StepMetrics,
     check_trajectory,
-    component_diameters,
     components_interact,
     compute_step_metrics,
     consensus_envelope_check,
@@ -50,7 +48,6 @@ from .profile import (
     detect_merge_events,
     diameter,
     hull_distance,
-    is_delta_trivial,
 )
 from .simulate import simulate
 from .spectral import (

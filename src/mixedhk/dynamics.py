@@ -313,12 +313,6 @@ def neighbor_matrix(state: OpinionState) -> np.ndarray:
     return _neighbor_mask(state.x, state.epsilon)[0]
 
 
-def neighborhoods(state: OpinionState) -> list[set[int]]:
-    """Neighbor index sets N_i for every agent (0-based, self included)."""
-    mask = neighbor_matrix(state)
-    return [set(np.flatnonzero(mask[i]).tolist()) for i in range(state.n)]
-
-
 def averaging_matrix(mask: np.ndarray) -> np.ndarray:
     """Row-stochastic matrix A with A[i, j] = 1/|N_i| for j in N_i, else 0,
     from a neighbor mask (``neighbor_matrix`` of a state, or a profile's
@@ -353,8 +347,7 @@ def neighbor_means(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return sums / counts[:, None]
 
 
-def step(state: OpinionState, alpha: np.ndarray, *,
-         mask: Optional[np.ndarray] = None) -> OpinionState:
+def step(state: OpinionState, alpha: np.ndarray, *, profile=None) -> OpinionState:
     """Advance the dynamics one step under stubbornness vector alpha.
 
     Every new opinion lies in the convex hull of the agent's neighbors'
@@ -362,16 +355,17 @@ def step(state: OpinionState, alpha: np.ndarray, *,
     keep their opinion bit for bit; absolutely open-minded agents
     (alpha_i = 0) adopt the neighbor mean bit for bit. Neighbor means are
     computed for the other agents (the movers) only, so a step costs what
-    its movers cost. ``mask`` is the state's ``neighbor_matrix`` when the
-    caller already has it.
+    its movers cost. ``profile`` is the state's analysis (a
+    ``profile.StateAnalysis``) when the caller already has it: its ``mask``
+    and ``degrees`` are read instead of computed.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (state.n,):
         raise ConfigError(f"alpha has shape {alpha.shape}, expected ({state.n},)")
     _check_alpha(alpha)
-    if mask is None:
-        mask = neighbor_matrix(state)
-    movers = np.flatnonzero((alpha != 1.0) & (mask.sum(axis=1) > 1))
+    mask = neighbor_matrix(state) if profile is None else profile.mask
+    degrees = mask.sum(axis=1) if profile is None else profile.degrees
+    movers = np.flatnonzero((alpha != 1.0) & (degrees > 1))
     means = neighbor_means(state.x, mask[movers])
     a = alpha[movers, None]
     new_x = state.x.copy()

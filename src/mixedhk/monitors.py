@@ -16,6 +16,10 @@ tighter contract is stated):
 
 Where a statement is asymptotic, the monitor evaluates a finite-horizon
 surrogate and says so; a verdict here is evidence, not proof.
+
+A ``Checker`` is the one verification engine, pushed each transition as
+alpha(t) and both states' analyses; every trajectory-level monitor reads
+one checker pass over the stored states.
 """
 
 from __future__ import annotations
@@ -28,21 +32,13 @@ import numpy as np
 
 from .dynamics import OpinionState, squared_distances
 from .errors import IntegrityError
-from .profile import (StateAnalysis, analyze_state, capped_energy, detect_merge_events, diameter,
+from .profile import (StateAnalysis, analyze_state, capped_energy, detect_merge_events,
                       hull_distance, neighbor_spread)
 from .trajectory import Trajectory
 
 ENERGY_SLACK = 1e-9  # relative to n^2 eps^2
 DIAM_SLACK = 1e-12  # absolute, diameters are O(eps) at desk scale
 HULL_TOL = 1e-12  # absolute, distance of a new opinion from its neighbors' hull
-
-
-def _analyses(traj: Trajectory):
-    """Each recorded state's analysis, built only when it is reached."""
-    analysis = None
-    for t in range(len(traj.states)):
-        analysis = analyze_state(traj.state_at(t), analysis)
-        yield analysis
 
 
 def energy(state: OpinionState) -> float:
@@ -87,11 +83,6 @@ def contraction_coefficient(alpha: np.ndarray) -> float:
     return a1 - (a1 - a2) / n
 
 
-def component_diameters(state: OpinionState) -> list[float]:
-    """Diameter of each connected component of the state's profile."""
-    return list(analyze_state(state).component_diameters)
-
-
 @dataclass
 class ContractionVerdict:
     applicable: bool  # profile was epsilon-trivial, so the sharp factor binds
@@ -106,14 +97,13 @@ def contraction_check(state: OpinionState, next_state: OpinionState,
                       alpha: np.ndarray) -> ContractionVerdict:
     """Check diam(t+1) <= beta * diam(t) on epsilon-trivial profiles and the
     unconditional non-expansion diam(t+1) <= diam(t)."""
-    return _contraction(state, alpha, analyze_state(state), analyze_state(next_state))
+    return _contraction(alpha, analyze_state(state), analyze_state(next_state))
 
 
-def _contraction(state: OpinionState, alpha: np.ndarray, now: StateAnalysis,
-                 nxt: StateAnalysis) -> ContractionVerdict:
+def _contraction(alpha: np.ndarray, now: StateAnalysis, nxt: StateAnalysis) -> ContractionVerdict:
     d_before, d_after = now.diameter, nxt.diameter
     nonexp = d_after <= d_before + DIAM_SLACK
-    if state.n >= 2 and d_before <= state.epsilon:
+    if now.n >= 2 and d_before <= now.epsilon:
         coeff = contraction_coefficient(alpha)
         ok = d_after <= coeff * d_before + DIAM_SLACK
         return ContractionVerdict(True, ok, nonexp, coeff, d_before, d_after)
@@ -185,23 +175,22 @@ def compute_step_metrics(state: OpinionState, next_state: OpinionState,
                          alpha: np.ndarray, *, interaction: bool = False,
                          hull: bool = False) -> StepMetrics:
     """Evaluate the per-step monitors for one transition."""
-    return _step_metrics(state, next_state, alpha, analyze_state(state),
-                         analyze_state(next_state), interaction=interaction, hull=hull)
+    return _step_metrics(alpha, analyze_state(state), analyze_state(next_state),
+                         interaction=interaction, hull=hull)
 
 
-def _step_metrics(state: OpinionState, next_state: OpinionState, alpha: np.ndarray,
-                  now: StateAnalysis, nxt: StateAnalysis, *, interaction: bool,
-                  hull: bool) -> StepMetrics:
+def _step_metrics(alpha: np.ndarray, now: StateAnalysis, nxt: StateAnalysis, *,
+                  interaction: bool, hull: bool) -> StepMetrics:
     """compute_step_metrics from the analyses of both states."""
     z_now = now.energy
     z_next = nxt.energy
     drop = z_now - z_next
-    disp_sq = ((next_state.x - state.x) ** 2).sum(axis=1)
+    disp_sq = ((nxt.x - now.x) ** 2).sum(axis=1)
     bound = _drop_bound(alpha, now.degrees, disp_sq)
-    slack = ENERGY_SLACK * state.n**2 * state.epsilon**2
-    cv = _contraction(state, alpha, now, nxt)
+    slack = ENERGY_SLACK * now.n**2 * now.epsilon**2
+    cv = _contraction(alpha, now, nxt)
     return StepMetrics(
-        t=state.t,
+        t=now.t,
         energy=z_now,
         energy_next=z_next,
         energy_drop=drop,
@@ -215,7 +204,7 @@ def _step_metrics(state: OpinionState, next_state: OpinionState, alpha: np.ndarr
         contraction_ok=cv.contraction_ok,
         nonexpansion_ok=cv.nonexpansion_ok,
         interaction=_interact(now, nxt) if interaction else None,
-        hull_ok=not any(_hull_strays(state.x, next_state.x, now.mask, HULL_TOL)) if hull else None,
+        hull_ok=not any(_hull_strays(now.x, nxt.x, now.mask, HULL_TOL)) if hull else None,
     )
 
 
@@ -226,18 +215,17 @@ def consensus_envelope_check(traj: Trajectory, beta_cap: float) -> dict:
     under the running product of contraction coefficients, and under
     beta_cap^k where k counts steps with coefficient <= beta_cap. The
     hypothesis ("infinitely many contracting steps") is reported as the
-    within-horizon count; the verdict is labeled a surrogate.
+    within-horizon count; the verdict is labeled a surrogate. The states'
+    diameters are read off one checker pass.
     """
     if not (0.0 < beta_cap < 1.0):
         raise ValueError(f"beta_cap must lie in (0, 1), got {beta_cap}")
-    t1 = None
-    for t in range(len(traj.states)):
-        if diameter(traj.states[t]) <= traj.epsilon:
-            t1 = t
-            break
+    report = check_trajectory(traj, hull=False)
+    diams = [r["diam_global"] for r in report["per_step"]] + [report["final_diameter"]]
+    t1 = next((t for t, dm in enumerate(diams) if dm <= traj.epsilon), None)
     if t1 is None or traj.n < 2:
         return {"applicable": False, "surrogate": True}
-    d0 = diameter(traj.states[t1])
+    d0 = diams[t1]
     slack = 1e-9 * max(d0, 1.0)
     prod = 1.0
     capped = 0
@@ -248,12 +236,10 @@ def consensus_envelope_check(traj: Trajectory, beta_cap: float) -> dict:
         prod *= coeff
         if coeff <= beta_cap:
             capped += 1
-        d_next = diameter(traj.states[t + 1])
-        if d_next > prod * d0 + slack:
+        if diams[t + 1] > prod * d0 + slack:
             envelope_ok = False
-        if d_next > beta_cap**capped * d0 + slack:
+        if diams[t + 1] > beta_cap**capped * d0 + slack:
             power_ok = False
-    final = diameter(traj.states[-1])
     return {
         "applicable": True,
         "surrogate": True,
@@ -262,7 +248,7 @@ def consensus_envelope_check(traj: Trajectory, beta_cap: float) -> dict:
         "contracting_steps": capped,
         "envelope_ok": envelope_ok,
         "power_envelope_ok": power_ok,
-        "final_diameter": final,
+        "final_diameter": diams[-1],
     }
 
 
@@ -337,11 +323,12 @@ def displacement_floor_check(state: OpinionState, next_state: OpinionState,
     the component size and its maximum stubbornness only tighten the bound).
     Inapplicable steps return an explicit not-applicable verdict.
     """
-    return _floor(state, next_state, alpha, delta, analyze_state(state))
+    return _floor(alpha, delta, analyze_state(state), next_state)
 
 
-def _floor(state: OpinionState, next_state: OpinionState, alpha: np.ndarray, delta: float,
-           now: StateAnalysis) -> FloorVerdict:
+def _floor(alpha: np.ndarray, delta: float, now: StateAnalysis, nxt) -> FloorVerdict:
+    """displacement_floor_check from the analysis of the first state; of
+    ``nxt``, the next state or its analysis, only the opinions are read."""
     if not (delta > 0):
         raise ValueError(f"delta must be positive, got {delta}")
     alpha = np.asarray(alpha, dtype=np.float64)
@@ -349,24 +336,16 @@ def _floor(state: OpinionState, next_state: OpinionState, alpha: np.ndarray, del
         return FloorVerdict(False, None, None, None, "some alpha_i = 1")
     if now.components_within(delta):
         return FloorVerdict(False, None, None, None, "every component delta-trivial")
-    n = state.n
-    lhs = float(((next_state.x - state.x) ** 2).sum())
+    n = now.n
+    lhs = float(((nxt.x - now.x) ** 2).sum())
     floor = 2.0 * delta**2 * (1.0 - float(alpha.max())) ** 2 / n**8
     return FloorVerdict(True, lhs > floor * (1.0 - 1e-9), lhs, floor, "applicable")
 
 
 def settling_time(traj: Trajectory, delta: float) -> Optional[int]:
-    """First recorded t at which every component's diameter is <= delta."""
-    if not (delta > 0):
-        raise ValueError(f"delta must be positive, got {delta}")
-    return _first_settled((a.component_diameters for a in _analyses(traj)), delta)
-
-
-def _first_settled(diameters, delta: float) -> Optional[int]:
-    """Index of the first per-state component-diameter list with every
-    entry <= delta, or None."""
-    return next((t for t, diams in enumerate(diameters) if all(dm <= delta for dm in diams)),
-                None)
+    """First recorded t at which every component's diameter is <= delta:
+    the ``tau_delta`` of one checker pass."""
+    return check_trajectory(traj, delta, hull=False)["tau_delta"]
 
 
 def settling_bounds(n: int, epsilon: float, delta: float, sup_alpha: float) -> tuple[float, float]:
@@ -398,25 +377,18 @@ def interaction_equivalence(traj: Trajectory, delta: float) -> dict:
           current components);
       (3) some component of the next profile is (epsilon/2)-nontrivial.
 
-    Requires delta <= epsilon/4.
+    Requires delta <= epsilon/4. The records are those one checker pass
+    keeps.
     """
     if not (0.0 < delta <= traj.epsilon / 4.0):
         raise ValueError(f"equivalence needs 0 < delta <= epsilon/4, got {delta}")
-    steps = []
-    analyses = _analyses(traj)
-    now = next(analyses)
-    for t, nxt in enumerate(analyses):
-        record = _equivalence_step(t, now, nxt, delta, traj.epsilon)
-        if record is not None:
-            steps.append(record)
-        now = nxt
+    steps = _checked(traj, delta, hull=False).equivalence
     return {"delta": delta, "steps": steps,
             "mismatches": sum(not r["equivalent"] for r in steps),
             "interaction_steps": [r["t"] for r in steps if r["interaction"]]}
 
 
-def _equivalence_step(t: int, now: StateAnalysis, nxt: StateAnalysis, delta: float,
-                      epsilon: float) -> Optional[dict]:
+def _equivalence_step(now: StateAnalysis, nxt: StateAnalysis, delta: float) -> Optional[dict]:
     """interaction_equivalence's record for step t -> t+1, or None when the
     profile at t has a delta-nontrivial component."""
     if not now.components_within(delta):
@@ -424,24 +396,24 @@ def _equivalence_step(t: int, now: StateAnalysis, nxt: StateAnalysis, delta: flo
     next_diams = nxt.component_diameters
     c1 = any(dm > delta for dm in next_diams)
     c2 = _interact(now, nxt)
-    c3 = any(dm > epsilon / 2.0 for dm in next_diams)
-    return {"t": t, "next_nontrivial": c1, "interaction": c2,
+    c3 = any(dm > now.epsilon / 2.0 for dm in next_diams)
+    return {"t": now.t, "next_nontrivial": c1, "interaction": c2,
             "half_eps_nontrivial": c3, "equivalent": c1 == c2 == c3}
 
 
-def first_interaction_times(traj: Trajectory, *, m_max: int = 64) -> list[int]:
+def first_interaction_times(traj: Trajectory) -> list[int]:
     """Surrogate for the set of first-interaction times.
 
     For m = 4, 5, ..., with tau_m the settling time at delta = epsilon/m,
     collect the first t in [tau_m, tau_{m+1}) at which some component is
     (epsilon/m)-nontrivial. Windows truncated at the horizon; evaluation
-    stops at the first m whose settling time is not reached.
+    stops at the first m whose settling time is not reached, and at m = 64.
+    The times are the ``interaction_times`` of one checker pass.
     """
-    return _interaction_times(traj.epsilon,
-                              [a.component_diameters for a in _analyses(traj)], m_max)
+    return check_trajectory(traj, hull=False)["interaction_times"]
 
 
-def _interaction_times(epsilon: float, comp_cache: list, m_max: int) -> list[int]:
+def _interaction_times(epsilon: float, comp_cache: list, m_max: int = 64) -> list[int]:
     """first_interaction_times from every recorded state's component
     diameters, by array search over each state's widest component."""
     widest = np.array([max(diams) for diams in comp_cache])
@@ -464,16 +436,17 @@ class Checker:
     """Streaming verification: every monitor of ``check_trajectory``, fed one
     transition at a time, so a run can be checked while it is simulated.
 
-    ``push`` takes each step's two states, alpha(t) and both states'
-    analyses; ``report`` builds the check report. Of the analyses the
-    checker keeps only the latest, so with the caller's next one at most
-    two n-by-n masks are alive. Besides the violation counters it keeps
-    O(n) values per step: the step's record, the component diameters (for
-    settling and first-interaction times) and the degrees and neighbor
-    spreads of the step's first state (for movement budgets). Spreads are
-    computed for agents with alpha_i < 1 only; the others' budget term
-    (1 - 1) c s is +0.0 whatever their spread, so they keep 0. ``delta``
-    defaults to epsilon/4.
+    ``push`` takes alpha(t) and the analyses of the step's two states;
+    ``report`` builds the check report. Of the analyses the checker keeps
+    only the latest, so with the caller's next one at most two n-by-n masks
+    are alive. Besides the violation counters it keeps O(n) values per
+    step: the step's record, the component diameters (for settling and
+    first-interaction times), the step's equivalence record when it has one
+    (``equivalence``, None when delta > epsilon/4) and the degrees and
+    neighbor spreads of the step's first state (for movement budgets).
+    Spreads are computed for agents with alpha_i < 1 only; the others'
+    budget term (1 - 1) c s is +0.0 whatever their spread, so they keep 0.
+    ``delta`` defaults to epsilon/4.
     """
 
     def __init__(self, epsilon: float, delta: Optional[float] = None, *, hull: bool = True):
@@ -481,38 +454,39 @@ class Checker:
         if not (self.delta > 0):
             raise ValueError(f"delta must be positive, got {self.delta}")
         self.hull = hull
+        # movement_bound and equivalence are counted when the report is built
         self.violations = {"energy_descent": 0, "contraction": 0, "nonexpansion": 0,
                            "movement_bound": 0, "equivalence": 0, "hull": 0,
                            "displacement_floor": 0}
-        self._equivalence = self.delta <= epsilon / 4.0
+        self.equivalence: Optional[list] = [] if self.delta <= epsilon / 4.0 else None
         self._records = []
         self._diameters = []
         self._degrees, self._spread = [], []
         self._last: Optional[StateAnalysis] = None
 
-    def push(self, state: OpinionState, next_state: OpinionState, alpha: np.ndarray,
-             now: StateAnalysis, nxt: StateAnalysis) -> StepMetrics:
-        """Verify the step from ``state`` to ``next_state`` under ``alpha``;
-        ``now`` and ``nxt`` are the two states' analyses."""
+    def push(self, alpha: np.ndarray, now: StateAnalysis, nxt: StateAnalysis) -> StepMetrics:
+        """Verify the step from the state analysed by ``now`` to the one
+        analysed by ``nxt`` under ``alpha``."""
         if self._last is None:
             self._diameters.append(now.component_diameters)
-        m = _step_metrics(state, next_state, alpha, now, nxt, interaction=True, hull=False)
+        m = _step_metrics(alpha, now, nxt, interaction=True, hull=False)
         v = self.violations
         v["energy_descent"] += not m.energy_ok
         v["contraction"] += m.contraction_ok is False
         v["nonexpansion"] += not m.nonexpansion_ok
-        fv = _floor(state, next_state, alpha, self.delta, now)
+        fv = _floor(alpha, self.delta, now, nxt)
         v["displacement_floor"] += fv.applicable and not fv.ok
         if self.hull:
-            v["hull"] += sum(_hull_strays(state.x, next_state.x, now.mask, HULL_TOL))
-        if self._equivalence:
-            record = _equivalence_step(state.t, now, nxt, self.delta, state.epsilon)
-            v["equivalence"] += record is not None and not record["equivalent"]
+            v["hull"] += sum(_hull_strays(now.x, nxt.x, now.mask, HULL_TOL))
+        if self.equivalence is not None:
+            record = _equivalence_step(now, nxt, self.delta)
+            if record is not None:
+                self.equivalence.append(record)
         self._records.append(m.as_record())
         self._degrees.append(now.degrees)
         movable = np.flatnonzero(np.asarray(alpha) < 1.0)
-        spread = np.zeros(state.n)
-        spread[movable] = neighbor_spread(state.x, now.mask[movable], movable)
+        spread = np.zeros(now.n)
+        spread[movable] = neighbor_spread(now.x, now.mask[movable], movable)
         self._spread.append(spread)
         self._diameters.append(nxt.component_diameters)
         self._last = nxt
@@ -529,7 +503,8 @@ class Checker:
         delta = self.delta
         budgets = _movement_budgets(traj, np.arange(traj.n), np.array(self._degrees),
                                     np.array(self._spread))
-        violations = dict(self.violations, movement_bound=sum(b.violations for b in budgets))
+        violations = dict(self.violations, movement_bound=sum(b.violations for b in budgets),
+                          equivalence=sum(not r["equivalent"] for r in self.equivalence or ()))
         events = ([e.as_record() for e in detect_merge_events(traj.states)]
                   if len(traj.states) >= 2 else [])
         sup_a = traj.sup_alpha()
@@ -539,6 +514,8 @@ class Checker:
             if tau_bound == math.inf:  # written as null: strict JSON has no infinity
                 tau_bound = None
         total = sum(violations.values())
+        tau = next((t for t, diams in enumerate(diameters) if all(dm <= delta for dm in diams)),
+                   None)
         return {
             "header": traj.header(),
             "delta": delta,
@@ -546,13 +523,13 @@ class Checker:
             "total_violations": total,
             "energy_descent_violations": violations["energy_descent"],
             "contraction_violations": violations["contraction"],
-            "tau_delta": _first_settled(diameters, delta),
+            "tau_delta": tau,
             "tau_bound": tau_bound,
             "sup_alpha": sup_a,
             "consensus_reached": last.components_within(traj.consensus_tol),
             "final_diameter": last.diameter,
             "partial_sums": [b.partial_sums[-1] if b.partial_sums else 0.0 for b in budgets],
-            "interaction_times": _interaction_times(traj.epsilon, diameters, 64),
+            "interaction_times": _interaction_times(traj.epsilon, diameters),
             "interaction_bound": interaction_bound,
             "merge_events": events,
             "interaction_equivalence": {"mismatches": violations["equivalence"]},
@@ -561,18 +538,22 @@ class Checker:
         }
 
 
-def check_trajectory(traj: Trajectory, delta: Optional[float] = None,
-                     *, hull: bool = True) -> dict:
-    """Recompute every monitor over a stored trajectory: a ``Checker`` fed
-    each recorded step in one pass, holding two analyses at a time."""
+def _checked(traj: Trajectory, delta: Optional[float], *, hull: bool) -> Checker:
+    """A ``Checker`` fed every stored transition of ``traj`` in one pass,
+    holding two analyses at a time: the one loop over stored states."""
     if not traj.states:
         raise IntegrityError("the trajectory has no states to check")
     checker = Checker(traj.epsilon, delta, hull=hull)
-    state = traj.state_at(0)
-    now = analyze_state(state)
+    now = analyze_state(traj.state_at(0))
     for t in range(traj.steps):
-        next_state = traj.state_at(t + 1)
-        nxt = analyze_state(next_state, now)
-        checker.push(state, next_state, traj.alphas[t], now, nxt)
-        state, now = next_state, nxt
-    return checker.report(traj)
+        nxt = analyze_state(traj.state_at(t + 1), now)
+        checker.push(traj.alphas[t], now, nxt)
+        now = nxt
+    return checker
+
+
+def check_trajectory(traj: Trajectory, delta: Optional[float] = None,
+                     *, hull: bool = True) -> dict:
+    """Recompute every monitor over a stored trajectory: the report of one
+    checker pass."""
+    return _checked(traj, delta, hull=hull).report(traj)

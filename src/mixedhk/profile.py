@@ -225,8 +225,8 @@ def analyze_state(state: OpinionState, previous: Optional[StateAnalysis] = None)
     mask, d2 = _neighbor_mask(state.x, state.epsilon)
     degrees = mask.sum(axis=1)
     # equal degrees first: they are cheap and usually differ when the mask does
-    if (previous is not None and degrees.tobytes() == previous.degrees.tobytes()
-            and mask.tobytes() == previous.mask.tobytes()):
+    if (previous is not None and np.array_equal(degrees, previous.degrees)
+            and np.array_equal(mask, previous.mask)):
         labels = previous.labels
     else:
         labels = _component_labels(mask, degrees)
@@ -256,13 +256,6 @@ def diameter(points: np.ndarray) -> float:
         return 0.0
     d2 = squared_distances(pts)
     return float(np.sqrt(d2.max()))
-
-
-def is_delta_trivial(points: np.ndarray, delta: float) -> bool:
-    """True iff all points are pairwise within delta (hull diameter <= delta)."""
-    if not (delta > 0):
-        raise ValueError(f"delta must be positive, got {delta}")
-    return diameter(points) <= delta
 
 
 def _affine_minimizer(Vs: np.ndarray) -> np.ndarray:

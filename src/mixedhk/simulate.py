@@ -35,14 +35,14 @@ def simulate(config: ModelConfig, checker: Optional[Checker] = None) -> Trajecto
 
     for t in range(config.max_steps):
         alpha = config.schedule.alpha_at(t, config.n, config.seed)
-        nxt = step(state, alpha, mask=analysis.mask)
+        nxt = step(state, alpha, profile=analysis)
         next_analysis = analyze_state(nxt, analysis)
         alphas.append(alpha)
         states.append(nxt.x)
         if checker is not None:
-            checker.push(state, nxt, alpha, analysis, next_analysis)
+            checker.push(alpha, analysis, next_analysis)
         if metrics is not None:
-            metrics.append(_step_metrics(state, nxt, alpha, analysis, next_analysis,
+            metrics.append(_step_metrics(alpha, analysis, next_analysis,
                                          interaction="interaction" in flags,
                                          hull="hull" in flags))
         if nxt.x.tobytes() == state.x.tobytes():

@@ -268,6 +268,78 @@ def oracle_interaction_times(epsilon: float, comp_cache: list, m_max: int = 64) 
     return sorted(times)
 
 
+def _oracle_analyses(traj):
+    """Each recorded state's eager analysis, built only when it is reached."""
+    for t in range(len(traj.states)):
+        yield oracle_analyze_state(traj.state_at(t))
+
+
+def oracle_settling_time(traj, delta: float):
+    """First recorded t at which every component's diameter is <= delta,
+    from a fresh analysis of every state."""
+    if not (delta > 0):
+        raise ValueError(f"delta must be positive, got {delta}")
+    return next((t for t, a in enumerate(_oracle_analyses(traj))
+                 if all(dm <= delta for dm in a.component_diameters)), None)
+
+
+def oracle_first_interaction_times(traj) -> list[int]:
+    """First-interaction times from a fresh analysis of every state."""
+    return oracle_interaction_times(
+        traj.epsilon, [a.component_diameters for a in _oracle_analyses(traj)])
+
+
+def oracle_interaction_equivalence(traj, delta: float) -> dict:
+    """The three interaction conditions at each step whose profile has only
+    delta-trivial components, from a fresh analysis of every state and an
+    edge test of the next mask against the current labels."""
+    if not (0.0 < delta <= traj.epsilon / 4.0):
+        raise ValueError(f"equivalence needs 0 < delta <= epsilon/4, got {delta}")
+    steps = []
+    analyses = _oracle_analyses(traj)
+    now = next(analyses)
+    for t, nxt in enumerate(analyses):
+        if all(dm <= delta for dm in now.component_diameters):
+            c1 = any(dm > delta for dm in nxt.component_diameters)
+            c2 = bool((nxt.mask & (now.labels[:, None] != now.labels[None, :])).any())
+            c3 = any(dm > traj.epsilon / 2.0 for dm in nxt.component_diameters)
+            steps.append({"t": t, "next_nontrivial": c1, "interaction": c2,
+                          "half_eps_nontrivial": c3, "equivalent": c1 == c2 == c3})
+        now = nxt
+    return {"delta": delta, "steps": steps,
+            "mismatches": sum(not r["equivalent"] for r in steps),
+            "interaction_steps": [r["t"] for r in steps if r["interaction"]]}
+
+
+def oracle_consensus_envelope_check(traj, beta_cap: float) -> dict:
+    """The consensus envelope with each state's diameter from
+    ``profile.diameter``."""
+    from mixedhk.monitors import contraction_coefficient
+    from mixedhk.profile import diameter
+
+    if not (0.0 < beta_cap < 1.0):
+        raise ValueError(f"beta_cap must lie in (0, 1), got {beta_cap}")
+    t1 = next((t for t, x in enumerate(traj.states) if diameter(x) <= traj.epsilon), None)
+    if t1 is None or traj.n < 2:
+        return {"applicable": False, "surrogate": True}
+    d0 = diameter(traj.states[t1])
+    slack = 1e-9 * max(d0, 1.0)
+    prod = 1.0
+    capped = 0
+    envelope_ok = power_ok = True
+    for t in range(t1, traj.steps):
+        coeff = contraction_coefficient(traj.alphas[t])
+        prod *= coeff
+        capped += coeff <= beta_cap
+        d_next = diameter(traj.states[t + 1])
+        envelope_ok &= not d_next > prod * d0 + slack
+        power_ok &= not d_next > beta_cap**capped * d0 + slack
+    return {"applicable": True, "surrogate": True, "t_trivial": t1,
+            "hypothesis_met": capped > 0, "contracting_steps": capped,
+            "envelope_ok": envelope_ok, "power_envelope_ok": power_ok,
+            "final_diameter": diameter(traj.states[-1])}
+
+
 def oracle_one_run(config, seed: int, delta, hull: bool) -> dict:
     """One batch run's record by the two-pass route: simulate with every
     monitor off, then check the stored trajectory from scratch, analysing

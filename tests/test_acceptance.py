@@ -15,7 +15,6 @@ from mixedhk import (
     Profile,
     StubbornnessSchedule,
     check_cheeger,
-    component_diameters,
     contraction_coefficient,
     diameter,
     displacement_floor_check,
@@ -33,6 +32,7 @@ from mixedhk import (
     verify_decomposition,
     write_trajectory,
 )
+from mixedhk.profile import analyze_state
 from mixedhk.spectral import eigh
 from conftest import eigh_batch, is_connected_edges, oracle_hk_step, random_alpha, random_opinions
 
@@ -175,7 +175,7 @@ def test_criterion_6_settling_and_displacement_floor():
             state = OpinionState(0, x, eps)
             tau = None
             for t in range(horizon + 1):
-                if all(dm <= delta for dm in component_diameters(state)):
+                if all(dm <= delta for dm in analyze_state(state).component_diameters):
                     tau = t
                     break
                 nxt = step(state, alpha)

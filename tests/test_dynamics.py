@@ -13,7 +13,6 @@ from mixedhk import (
     build_profile,
     hull_distance,
     neighbor_matrix,
-    neighborhoods,
     schedule_alpha,
     simulate,
     step,
@@ -69,6 +68,11 @@ class TestNumericDomain:
         with pytest.raises(ValueError, match="n\\*n\\*epsilon"):
             self.config([[0.0], [0.45e154], [0.9e154]], 1e154)
         self.config([[0.0], [0.45e153], [0.9e153]], 3e153)  # 2 * 9 * 9e306 is finite
+
+
+def neighborhoods(st: OpinionState) -> list[set[int]]:
+    """Neighbor index sets N_i (self included), read off ``neighbor_matrix``."""
+    return [set(np.flatnonzero(row).tolist()) for row in neighbor_matrix(st)]
 
 
 class TestNeighborhoods:

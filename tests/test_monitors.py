@@ -8,7 +8,6 @@ from mixedhk import (
     OpinionState,
     StubbornnessSchedule,
     check_trajectory,
-    component_diameters,
     components_interact,
     compute_step_metrics,
     consensus_envelope_check,
@@ -27,6 +26,7 @@ from mixedhk import (
     step,
 )
 import mixedhk.monitors as monitors
+from mixedhk.profile import analyze_state
 from conftest import oracle_interaction_times, random_alpha, random_opinions
 
 
@@ -251,7 +251,7 @@ class TestMovementBudget:
                           max_steps=300)
         traj = simulate(cfg)
         assert traj.stop_reason == "consensus" and traj.steps == 1
-        assert max(component_diameters(traj.state_at(1))) == 0.0
+        assert max(analyze_state(traj.state_at(1)).component_diameters) == 0.0
         for i in range(9):
             budget = movement_budget_terms(traj, i)
             assert budget.violations == 0

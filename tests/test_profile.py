@@ -11,7 +11,6 @@ from mixedhk import (
     detect_merge_events,
     diameter,
     hull_distance,
-    is_delta_trivial,
     simulate,
     step,
     ModelConfig,
@@ -79,14 +78,14 @@ class TestDiameter:
 
 class TestDeltaTrivial:
     def test_single_point(self):
-        assert is_delta_trivial(np.array([[1.0, 2.0]]), 1e-9)
+        assert diameter(np.array([[1.0, 2.0]])) <= 1e-9
 
     def test_boundary_inclusive(self):
         eps = 0.8
-        assert is_delta_trivial(np.array([[0.0], [eps]]), eps)
+        assert diameter(np.array([[0.0], [eps]])) <= eps
 
     def test_strict_exceedance(self):
-        assert not is_delta_trivial(np.array([[0.0], [1.0 + 1e-6]]), 1.0)
+        assert not diameter(np.array([[0.0], [1.0 + 1e-6]])) <= 1.0
 
 
 class TestHullDistance:

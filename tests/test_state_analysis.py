@@ -3,7 +3,9 @@ for bit against the independent pure-Python routes in conftest."""
 
 import json
 import weakref
+from dataclasses import replace
 from importlib import import_module
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,28 +13,40 @@ import pytest
 import mixedhk.monitors as monitors
 from mixedhk import (
     Checker,
+    IntegrityError,
     ModelConfig,
     OpinionState,
     Profile,
     StubbornnessSchedule,
+    Trajectory,
     batch_run,
     build_profile,
     check_trajectory,
+    consensus_envelope_check,
     detect_merge_events,
     diameter,
+    first_interaction_times,
+    interaction_equivalence,
     movement_budget_terms,
     neighbor_matrix,
+    read_trajectory,
+    settling_time,
     simulate,
+    step,
 )
 from mixedhk.dynamics import SCHEDULE_KINDS, squared_distances
 from mixedhk.profile import analyze_state, neighbor_spread, opinions_equal
 from conftest import (
     all_graphs,
+    oracle_consensus_envelope_check,
+    oracle_first_interaction_times,
+    oracle_interaction_equivalence,
     oracle_merge_events,
     oracle_movement_budget,
     oracle_one_run,
     oracle_opinions_equal,
     oracle_profile,
+    oracle_settling_time,
     random_alpha,
 )
 
@@ -134,6 +148,87 @@ def test_streamed_check_matches_simulate_then_check(kind, d, monkeypatch):
     got = [json.dumps(batch_run(cfg, 2, 40, delta, hull=hull)) for delta, hull in cases]
     monkeypatch.setattr(BATCH, "_one_run", oracle_one_run)
     assert got == [json.dumps(batch_run(cfg, 2, 40, delta, hull=hull)) for delta, hull in cases]
+
+
+def _trajectory_monitors(traj, delta: float, beta_cap: float, *, oracle: bool) -> str:
+    """The four trajectory-level monitors' outputs, as JSON."""
+    if oracle:
+        routes = (oracle_settling_time, oracle_first_interaction_times,
+                  oracle_interaction_equivalence, oracle_consensus_envelope_check)
+    else:
+        routes = (settling_time, first_interaction_times, interaction_equivalence,
+                  consensus_envelope_check)
+    settle, first, equivalence, envelope = routes
+    eps = traj.epsilon
+    return json.dumps([[settle(traj, tol) for tol in (delta, eps / 2.0, 2.0 * eps)],
+                       first(traj), equivalence(traj, delta),
+                       [envelope(traj, cap) for cap in (beta_cap, 0.5)]])
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+def test_trajectory_monitors_match_the_per_state_routes(kind):
+    seen = {"equivalence_steps": 0, "envelopes": 0, "settled": 0}
+    for d in DIMS:
+        seed = 211 + 1000 * d + SCHEDULE_KINDS.index(kind)
+        rng = np.random.default_rng(seed)
+        cfg = _config(kind, d, seed, n=int(rng.integers(2, 12)), steps=30)
+        traj = simulate(cfg)
+        # an epsilon near the initial diameter, so the envelope applies from some t
+        wide = simulate(replace(cfg, epsilon=float(rng.uniform(0.7, 1.1)) * diameter(cfg.initial)))
+        lone = Trajectory(n=traj.n, d=d, epsilon=traj.epsilon, schedule=traj.schedule,
+                          seed=seed, states=[traj.states[-1]], alphas=[], stop_reason="horizon")
+        for case in (traj, wide, lone):
+            eps = case.epsilon
+            # delta exactly epsilon/4, the largest the equivalence admits
+            for delta in (eps / 4.0, float(rng.uniform(0.01, 0.25)) * eps):
+                beta_cap = float(rng.uniform(0.05, 0.95))
+                got = _trajectory_monitors(case, delta, beta_cap, oracle=False)
+                assert got == _trajectory_monitors(case, delta, beta_cap, oracle=True)
+            seen["equivalence_steps"] += len(interaction_equivalence(case, eps / 4.0)["steps"])
+            seen["envelopes"] += consensus_envelope_check(case, 0.5)["applicable"]
+            seen["settled"] += settling_time(case, eps / 4.0) is not None
+    assert all(seen.values()), seen
+
+
+def test_report_counts_the_equivalence_records_that_fail():
+    # a tampered file: one cluster spreads to epsilon/2 without meeting
+    # another, so condition (1) holds while (2) and (3) do not
+    traj = Trajectory(n=2, d=1, epsilon=1.0, schedule={"kind": "synchronous"}, seed=0,
+                      states=[np.zeros((2, 1)), np.array([[0.0], [0.5]])],
+                      alphas=[np.zeros(2)], stop_reason="horizon")
+    got = _trajectory_monitors(traj, 0.25, 0.5, oracle=False)
+    assert got == _trajectory_monitors(traj, 0.25, 0.5, oracle=True)
+    assert interaction_equivalence(traj, 0.25)["mismatches"] == 1
+    report = check_trajectory(traj, 0.25, hull=False)
+    assert report["interaction_equivalence"] == {"mismatches": 1}
+    assert report["violations"]["equivalence"] == 1
+
+
+def test_trajectory_monitors_reject_a_file_without_states(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("# mixed-hk-trajectory v1\n# header={\"version\": 1, \"n\": 2, \"d\": 1, "
+                    "\"epsilon\": 1.0, \"schedule\": {\"kind\": \"synchronous\"}, "
+                    "\"seed\": 0}\nt,agent,x_0,alpha\n", encoding="utf-8")
+    traj = read_trajectory(path)
+    assert traj.states == []
+    monitors_of_a_trajectory = (
+        check_trajectory, first_interaction_times, lambda t: settling_time(t, 0.25),
+        lambda t: interaction_equivalence(t, 0.25), lambda t: consensus_envelope_check(t, 0.5))
+    for monitor in monitors_of_a_trajectory:
+        with pytest.raises(IntegrityError, match="no states"):
+            monitor(traj)
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+def test_step_reads_the_degrees_of_the_given_profile(kind):
+    cfg = _config(kind, 2, seed=5 + SCHEDULE_KINDS.index(kind))
+    state = OpinionState(0, cfg.initial, cfg.epsilon)
+    alpha = cfg.schedule.alpha_at(0, cfg.n, cfg.seed)
+    analysis = analyze_state(state)
+    assert step(state, alpha, profile=analysis).x.tobytes() == step(state, alpha).x.tobytes()
+    # degrees of one make every agent isolated, whatever its mask row says
+    isolated = SimpleNamespace(mask=analysis.mask, degrees=np.ones(cfg.n, dtype=int))
+    assert step(state, alpha, profile=isolated).x.tobytes() == state.x.tobytes()
 
 
 def _same_analysis(got, want) -> bool:
