@@ -30,10 +30,10 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import OpinionState, squared_distances
+from .dynamics import OpinionState, neighbor_matrix, squared_distances
 from .errors import IntegrityError
 from .profile import (StateAnalysis, analyze_state, capped_energy, detect_merge_events,
-                      hull_distance, neighbor_spread)
+                      diameter, neighbor_hull_distances, neighbor_spread)
 from .trajectory import Trajectory
 
 ENERGY_SLACK = 1e-9  # relative to n^2 eps^2
@@ -54,7 +54,7 @@ def energy_drop_bound(state: OpinionState, next_state: OpinionState, alpha: np.n
     alpha_i = 1 (where the displacement is identically zero anyway).
     """
     disp_sq = ((next_state.x - state.x) ** 2).sum(axis=1)
-    return _drop_bound(alpha, analyze_state(state).degrees, disp_sq)
+    return _drop_bound(alpha, neighbor_matrix(state).sum(axis=1), disp_sq)
 
 
 def _drop_bound(alpha: np.ndarray, degrees: np.ndarray, disp_sq: np.ndarray) -> float:
@@ -97,13 +97,15 @@ def contraction_check(state: OpinionState, next_state: OpinionState,
                       alpha: np.ndarray) -> ContractionVerdict:
     """Check diam(t+1) <= beta * diam(t) on epsilon-trivial profiles and the
     unconditional non-expansion diam(t+1) <= diam(t)."""
-    return _contraction(alpha, analyze_state(state), analyze_state(next_state))
+    return _contraction(alpha, diameter(state.x), diameter(next_state.x), state.n,
+                        state.epsilon)
 
 
-def _contraction(alpha: np.ndarray, now: StateAnalysis, nxt: StateAnalysis) -> ContractionVerdict:
-    d_before, d_after = now.diameter, nxt.diameter
+def _contraction(alpha: np.ndarray, d_before: float, d_after: float, n: int,
+                 epsilon: float) -> ContractionVerdict:
+    """contraction_check from the diameters of both states."""
     nonexp = d_after <= d_before + DIAM_SLACK
-    if now.n >= 2 and d_before <= now.epsilon:
+    if n >= 2 and d_before <= epsilon:
         coeff = contraction_coefficient(alpha)
         ok = d_after <= coeff * d_before + DIAM_SLACK
         return ContractionVerdict(True, ok, nonexp, coeff, d_before, d_after)
@@ -164,13 +166,6 @@ class StepMetrics:
         }
 
 
-def _hull_strays(x: np.ndarray, next_x: np.ndarray, mask: np.ndarray, tol: float):
-    """Per agent, whether its new opinion lies farther than ``tol`` from the
-    convex hull of its neighbors' previous opinions (``mask`` rows)."""
-    return (hull_distance(next_x[i][None, :], x[np.flatnonzero(mask[i])]) > tol
-            for i in range(x.shape[0]))
-
-
 def compute_step_metrics(state: OpinionState, next_state: OpinionState,
                          alpha: np.ndarray, *, interaction: bool = False,
                          hull: bool = False) -> StepMetrics:
@@ -188,7 +183,7 @@ def _step_metrics(alpha: np.ndarray, now: StateAnalysis, nxt: StateAnalysis, *,
     disp_sq = ((nxt.x - now.x) ** 2).sum(axis=1)
     bound = _drop_bound(alpha, now.degrees, disp_sq)
     slack = ENERGY_SLACK * now.n**2 * now.epsilon**2
-    cv = _contraction(alpha, now, nxt)
+    cv = _contraction(alpha, now.diameter, nxt.diameter, now.n, now.epsilon)
     return StepMetrics(
         t=now.t,
         energy=z_now,
@@ -204,7 +199,8 @@ def _step_metrics(alpha: np.ndarray, now: StateAnalysis, nxt: StateAnalysis, *,
         contraction_ok=cv.contraction_ok,
         nonexpansion_ok=cv.nonexpansion_ok,
         interaction=_interact(now, nxt) if interaction else None,
-        hull_ok=not any(_hull_strays(now.x, nxt.x, now.mask, HULL_TOL)) if hull else None,
+        hull_ok=(not any(dist > HULL_TOL for dist in neighbor_hull_distances(now, nxt.x))
+                 if hull else None),
     )
 
 
@@ -477,7 +473,7 @@ class Checker:
         fv = _floor(alpha, self.delta, now, nxt)
         v["displacement_floor"] += fv.applicable and not fv.ok
         if self.hull:
-            v["hull"] += sum(_hull_strays(now.x, nxt.x, now.mask, HULL_TOL))
+            v["hull"] += sum(dist > HULL_TOL for dist in neighbor_hull_distances(now, nxt.x))
         if self.equivalence is not None:
             record = _equivalence_step(now, nxt, self.delta)
             if record is not None:

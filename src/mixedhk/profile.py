@@ -13,9 +13,13 @@ matrix. Above one block the geometry is computed on first read, from a
 single ``squared_distances`` call, so a run that reads only the mask and
 its consensus test builds no n-by-n float matrix: the mask is computed in
 row blocks, and ``components_within`` rejects most states from one
-distance per agent. A ``StateAnalysis`` is a ``Profile``: the mask is the
-only form in which a profile graph is held. The independent pure-Python
-edge and merge-detection routes and the eager analysis live in the tests
+distance per agent. Each of these values equals, bit for bit, what its
+single-purpose routine computes (``neighbor_matrix`` and its row sums,
+``diameter``, ``monitors.energy``), so a single-step monitor that reads one
+of them calls that routine instead of building a whole analysis. A
+``StateAnalysis`` is a ``Profile``: the mask is the only form in which a
+profile graph is held. The independent pure-Python edge and merge-detection
+routes, the eager analysis and the per-agent hull check live in the tests
 as oracles, so agreement between this module and the dynamics stays a
 checked invariant.
 """
@@ -30,6 +34,7 @@ import numpy as np
 
 from .dynamics import OpinionState, _neighbor_mask, squared_distances
 from .errors import NumericalFailure
+from .wolfe import lockstep_min_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,6 +364,38 @@ def hull_distance(P: np.ndarray, Q: np.ndarray, *, atol: float = 1e-9, max_iter:
         best=nrm,
         gap=gap,
     )
+
+
+def neighbor_hull_distances(now: StateAnalysis, next_x: np.ndarray):
+    """Distance of each agent's next opinion ``next_x[i]`` from the convex
+    hull of its neighbors' opinions in ``now``, as an iterator in agent
+    order whose i-th value is ``hull_distance(next_x[i][None, :],
+    now.x[N_i])`` bit for bit.
+
+    The agents with one neighbor count k are solved together, by
+    ``wolfe.lockstep_min_norm`` on their (B, k, d) stack of vertex sets. A
+    problem it flags is run by ``hull_distance`` when the iterator reaches
+    that agent, so a ``NumericalFailure`` is raised for the same agent as
+    in a loop over the agents, and a consumer that stops early, like
+    ``any``, runs no rerun after the point where it stopped.
+    """
+    dist = np.zeros(now.n)
+    rerun = np.zeros(now.n, dtype=bool)
+    # bincount, not unique: the first np.unique call imports numpy.ma (about 1 MiB)
+    for k in np.flatnonzero(np.bincount(now.degrees)).tolist():
+        agents = np.flatnonzero(now.degrees == k)
+        cols = np.nonzero(now.mask[agents])[1].reshape(len(agents), k)
+        dist[agents], rerun[agents] = lockstep_min_norm(next_x[agents][:, None, :] - now.x[cols])
+    return _in_agent_order(dist.tolist(), rerun.tolist(), now, next_x)
+
+
+def _in_agent_order(dist: list, rerun: list, now: StateAnalysis, next_x: np.ndarray):
+    """Yield ``dist`` in agent order, with ``hull_distance`` run for each
+    agent flagged in ``rerun`` when it is reached."""
+    for i, value in enumerate(dist):
+        if rerun[i]:
+            value = hull_distance(next_x[i][None, :], now.x[np.flatnonzero(now.mask[i])])
+        yield value
 
 
 @dataclass

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from mixedhk.errors import NumericalFailure, SizeLimitError
+from mixedhk.profile import hull_distance
 from mixedhk.spectral import CHEEGER_MAX_N
 
 
@@ -179,6 +180,14 @@ def oracle_analyze_state(state):
                            component_diameters=np.sqrt(block_max).tolist(),
                            diameter=float(np.sqrt(d2.max())),
                            energy=float(np.minimum(d2, eps2).sum()))
+
+
+def oracle_hull_distances(x: np.ndarray, next_x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per agent, the distance of its new opinion from the convex hull of its
+    neighbors' previous opinions (``mask`` rows): one scalar ``hull_distance``
+    call per agent, the route the lockstep hull check replaced."""
+    return np.array([hull_distance(next_x[i][None, :], x[np.flatnonzero(mask[i])])
+                     for i in range(x.shape[0])])
 
 
 def oracle_opinions_equal(a: np.ndarray, b: np.ndarray, rel: float = 1e-14) -> bool:

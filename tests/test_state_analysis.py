@@ -22,9 +22,12 @@ from mixedhk import (
     batch_run,
     build_profile,
     check_trajectory,
+    compute_step_metrics,
     consensus_envelope_check,
+    contraction_check,
     detect_merge_events,
     diameter,
+    energy_drop_bound,
     first_interaction_times,
     interaction_equivalence,
     movement_budget_terms,
@@ -237,6 +240,24 @@ def _same_analysis(got, want) -> bool:
             and got.degrees.tobytes() == want.degrees.tobytes()
             and _bits(got.component_diameters) == _bits(want.component_diameters)
             and _bits([got.diameter, got.energy]) == _bits([want.diameter, want.energy]))
+
+
+@pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+def test_single_step_monitors_match_the_step_records(kind):
+    # energy_drop_bound and contraction_check read neighbor_matrix and
+    # diameter, not an analysis; their values keep the step record's bits
+    for d in DIMS:
+        traj = _trajectory(kind, d, seed=307 + 1000 * d + SCHEDULE_KINDS.index(kind))
+        for t in range(traj.steps):
+            now, nxt, alpha = traj.state_at(t), traj.state_at(t + 1), traj.alphas[t]
+            m = compute_step_metrics(now, nxt, alpha)
+            cv = contraction_check(now, nxt, alpha)
+            assert _bits(energy_drop_bound(now, nxt, alpha)) == _bits(m.energy_drop_bound)
+            assert (_bits([cv.diam_before, cv.diam_after])
+                    == _bits([m.diam_global, analyze_state(nxt).diameter]))
+            assert ((cv.applicable, cv.contraction_ok, cv.nonexpansion_ok, cv.coefficient)
+                    == (m.epsilon_trivial, m.contraction_ok, m.nonexpansion_ok,
+                        m.contraction_coeff))
 
 
 @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
