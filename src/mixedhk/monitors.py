@@ -32,13 +32,15 @@ import numpy as np
 
 from .dynamics import OpinionState, neighbor_matrix, squared_distances
 from .errors import IntegrityError
-from .profile import (StateAnalysis, analyze_state, capped_energy, detect_merge_events,
-                      diameter, neighbor_hull_distances, neighbor_spread)
+from .profile import (HullBuffer, StateAnalysis, analyze_state, capped_energy,
+                      detect_merge_events, diameter, neighbor_hull_distances, neighbor_spread)
 from .trajectory import Trajectory
 
 ENERGY_SLACK = 1e-9  # relative to n^2 eps^2
 DIAM_SLACK = 1e-12  # absolute, diameters are O(eps) at desk scale
 HULL_TOL = 1e-12  # absolute, distance of a new opinion from its neighbors' hull
+# A Checker solves its buffered hull problems once their stacks hold this many bytes
+HULL_BUFFER_BYTES = 128 * 1024
 
 
 def energy(state: OpinionState) -> float:
@@ -435,14 +437,23 @@ class Checker:
     ``push`` takes alpha(t) and the analyses of the step's two states;
     ``report`` builds the check report. Of the analyses the checker keeps
     only the latest, so with the caller's next one at most two n-by-n masks
-    are alive. Besides the violation counters it keeps O(n) values per
-    step: the step's record, the component diameters (for settling and
-    first-interaction times), the step's equivalence record when it has one
-    (``equivalence``, None when delta > epsilon/4) and the degrees and
-    neighbor spreads of the step's first state (for movement budgets).
+    are alive, and its hull buffer holds at most ``HULL_BUFFER_BYTES`` plus
+    one step's vertex sets. Besides the violation counters it keeps O(n)
+    values per step: the step's record, the component diameters (for
+    settling and first-interaction times), the step's equivalence record
+    when it has one (``equivalence``, None when delta > epsilon/4) and the
+    degrees and neighbor spreads of the step's first state (for movement
+    budgets).
     Spreads are computed for agents with alpha_i < 1 only; the others'
     budget term (1 - 1) c s is +0.0 whatever their spread, so they keep 0.
     ``delta`` defaults to epsilon/4.
+
+    With ``hull`` on, ``push`` adds the step's hull problems to a
+    ``profile.HullBuffer`` instead of solving them. The buffer is solved
+    once it reaches ``HULL_BUFFER_BYTES``, and before every read of
+    ``violations``, so a ``NumericalFailure`` of the hull check is raised
+    for the first agent that a loop over steps and agents would meet, by
+    ``report`` or a ``violations`` read at the latest.
     """
 
     def __init__(self, epsilon: float, delta: Optional[float] = None, *, hull: bool = True):
@@ -451,14 +462,22 @@ class Checker:
             raise ValueError(f"delta must be positive, got {self.delta}")
         self.hull = hull
         # movement_bound and equivalence are counted when the report is built
-        self.violations = {"energy_descent": 0, "contraction": 0, "nonexpansion": 0,
-                           "movement_bound": 0, "equivalence": 0, "hull": 0,
-                           "displacement_floor": 0}
+        self._violations = {"energy_descent": 0, "contraction": 0, "nonexpansion": 0,
+                            "movement_bound": 0, "equivalence": 0, "hull": 0,
+                            "displacement_floor": 0}
         self.equivalence: Optional[list] = [] if self.delta <= epsilon / 4.0 else None
         self._records = []
         self._diameters = []
         self._degrees, self._spread = [], []
         self._last: Optional[StateAnalysis] = None
+        self._hull = HullBuffer()
+
+    @property
+    def violations(self) -> dict:
+        """The violation counters of the pushed steps."""
+        if self._hull.nbytes:
+            self._violations["hull"] += self._hull.count_over(HULL_TOL)
+        return self._violations
 
     def push(self, alpha: np.ndarray, now: StateAnalysis, nxt: StateAnalysis) -> StepMetrics:
         """Verify the step from the state analysed by ``now`` to the one
@@ -466,14 +485,16 @@ class Checker:
         if self._last is None:
             self._diameters.append(now.component_diameters)
         m = _step_metrics(alpha, now, nxt, interaction=True, hull=False)
-        v = self.violations
+        v = self._violations
         v["energy_descent"] += not m.energy_ok
         v["contraction"] += m.contraction_ok is False
         v["nonexpansion"] += not m.nonexpansion_ok
         fv = _floor(alpha, self.delta, now, nxt)
         v["displacement_floor"] += fv.applicable and not fv.ok
         if self.hull:
-            v["hull"] += sum(dist > HULL_TOL for dist in neighbor_hull_distances(now, nxt.x))
+            self._hull.add(len(self._records), now, nxt.x)
+            if self._hull.nbytes >= HULL_BUFFER_BYTES:
+                v["hull"] += self._hull.count_over(HULL_TOL)
         if self.equivalence is not None:
             record = _equivalence_step(now, nxt, self.delta)
             if record is not None:

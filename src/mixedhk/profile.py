@@ -34,7 +34,7 @@ import numpy as np
 
 from .dynamics import OpinionState, _neighbor_mask, squared_distances
 from .errors import NumericalFailure
-from .wolfe import lockstep_min_norm
+from .wolfe import min_norm_distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,6 +366,35 @@ def hull_distance(P: np.ndarray, Q: np.ndarray, *, atol: float = 1e-9, max_iter:
     )
 
 
+def hull_stacks(now: StateAnalysis, next_x: np.ndarray):
+    """The hull problems of one step, by neighbor count: for each count k
+    in ``now``, the agents with k neighbors and the C-contiguous (B, k, d)
+    stack of their vertex sets x_i(t+1) - x_{N_i}(t), the set that
+    ``hull_distance(next_x[i][None, :], now.x[N_i])`` builds. The stacks
+    are views of one array, computed in one pass over the agents sorted by
+    neighbor count; returned as a list of (agents, stack) pairs."""
+    order = np.argsort(now.degrees, kind="stable")
+    degrees = now.degrees[order]
+    cols = np.nonzero(now.mask[order])[1]
+    V = np.repeat(next_x[order], degrees, axis=0) - now.x[cols]
+    stacks = []
+    start = row = 0
+    # bincount, not unique: the first np.unique call imports numpy.ma (about 1 MiB)
+    for k, b in enumerate(np.bincount(degrees).tolist()):
+        if b:
+            stacks.append((order[start:start + b], V[row:row + b * k].reshape(b, k, -1)))
+            start, row = start + b, row + b * k
+    return stacks
+
+
+def vertex_set_norm(V: np.ndarray) -> float:
+    """Norm of the min-norm point of the convex hull of the rows of V, by
+    ``hull_distance``: the vertex set it builds from P = V and Q = 0 is V
+    itself, bit for bit (v - 0.0 is v), so this is the per-agent call whose
+    vertex set is V."""
+    return hull_distance(V, np.zeros((1, V.shape[1])))
+
+
 def neighbor_hull_distances(now: StateAnalysis, next_x: np.ndarray):
     """Distance of each agent's next opinion ``next_x[i]`` from the convex
     hull of its neighbors' opinions in ``now``, as an iterator in agent
@@ -373,29 +402,65 @@ def neighbor_hull_distances(now: StateAnalysis, next_x: np.ndarray):
     now.x[N_i])`` bit for bit.
 
     The agents with one neighbor count k are solved together, by
-    ``wolfe.lockstep_min_norm`` on their (B, k, d) stack of vertex sets. A
-    problem it flags is run by ``hull_distance`` when the iterator reaches
-    that agent, so a ``NumericalFailure`` is raised for the same agent as
-    in a loop over the agents, and a consumer that stops early, like
-    ``any``, runs no rerun after the point where it stopped.
+    ``wolfe.min_norm_distances`` on their stack from ``hull_stacks``. A
+    problem it flags is run by ``vertex_set_norm`` when the iterator
+    reaches that agent, so a ``NumericalFailure`` is raised for the same
+    agent as in a loop over the agents, and a consumer that stops early,
+    like ``any``, runs no rerun after the point where it stopped.
     """
     dist = np.zeros(now.n)
-    rerun = np.zeros(now.n, dtype=bool)
-    # bincount, not unique: the first np.unique call imports numpy.ma (about 1 MiB)
-    for k in np.flatnonzero(np.bincount(now.degrees)).tolist():
-        agents = np.flatnonzero(now.degrees == k)
-        cols = np.nonzero(now.mask[agents])[1].reshape(len(agents), k)
-        dist[agents], rerun[agents] = lockstep_min_norm(next_x[agents][:, None, :] - now.x[cols])
-    return _in_agent_order(dist.tolist(), rerun.tolist(), now, next_x)
+    reruns = {}
+    for agents, V in hull_stacks(now, next_x):
+        dist[agents], rerun = min_norm_distances(V)
+        reruns.update(zip(agents[rerun].tolist(), V[rerun]))
+    return _in_agent_order(dist.tolist(), reruns)
 
 
-def _in_agent_order(dist: list, rerun: list, now: StateAnalysis, next_x: np.ndarray):
-    """Yield ``dist`` in agent order, with ``hull_distance`` run for each
-    agent flagged in ``rerun`` when it is reached."""
+def _in_agent_order(dist: list, reruns: dict):
+    """Yield ``dist`` in agent order, with ``vertex_set_norm`` run on the
+    vertex set of each agent in ``reruns`` when it is reached."""
     for i, value in enumerate(dist):
-        if rerun[i]:
-            value = hull_distance(next_x[i][None, :], now.x[np.flatnonzero(now.mask[i])])
+        if i in reruns:
+            value = vertex_set_norm(reruns[i])
         yield value
+
+
+class HullBuffer:
+    """The hull problems of many steps, kept by neighbor count k until
+    ``count_over`` solves them with ``hull_strays``."""
+
+    def __init__(self):
+        self.stacks: dict = {}  # k -> [((step, agents), (B, k, d) stack)]
+        self.nbytes = 0
+
+    def add(self, step: int, now: StateAnalysis, next_x: np.ndarray) -> None:
+        for agents, V in hull_stacks(now, next_x):
+            self.stacks.setdefault(V.shape[1], []).append(((step, agents), V))
+            self.nbytes += V.nbytes
+
+    def count_over(self, tol: float) -> int:
+        """Empty the buffer, returning how many of its distances exceed ``tol``."""
+        stacks, self.stacks, self.nbytes = self.stacks, {}, 0
+        return hull_strays(stacks, tol)
+
+
+def hull_strays(stacks: dict, tol: float) -> int:
+    """How many distances of the buffered hull problems ``stacks`` (of a
+    ``HullBuffer``) exceed ``tol``: one ``wolfe.min_norm_distances`` call
+    per neighbor count k, over the stacks of every buffered step. The
+    problems the kernel flags are run by ``vertex_set_norm`` in (step,
+    agent) order, so a ``NumericalFailure`` is raised for the first of
+    them that a loop over steps and agents meets."""
+    over, reruns = 0, []
+    for parts in stacks.values():
+        V = np.concatenate([V for _, V in parts]) if len(parts) > 1 else parts[0][1]
+        dist, rerun = min_norm_distances(V)
+        over += int(np.count_nonzero(dist > tol))
+        if rerun.any():
+            owners = [(step, i) for (step, agents), _ in parts for i in agents.tolist()]
+            reruns += [(owners[b], V[b]) for b in np.flatnonzero(rerun).tolist()]
+    reruns.sort(key=lambda rerun: rerun[0])
+    return over + sum(vertex_set_norm(V) > tol for _, V in reruns)
 
 
 @dataclass

@@ -1,14 +1,17 @@
-"""The lockstep hull check, checked bit for bit against one scalar
-``hull_distance`` call per agent (the conftest oracle)."""
+"""The lockstep hull check, per step and buffered over many steps, checked
+bit for bit against one scalar ``hull_distance`` call per agent (the
+conftest oracle)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mixedhk.monitors as monitors
 import mixedhk.profile as profile
-from mixedhk import Checker, NumericalFailure, OpinionState, compute_step_metrics, step
+from mixedhk import (Checker, ModelConfig, NumericalFailure, OpinionState, StubbornnessSchedule,
+                     check_trajectory, compute_step_metrics, simulate, step)
 from mixedhk.monitors import HULL_TOL
-from mixedhk.profile import analyze_state, neighbor_hull_distances
+from mixedhk.profile import HullBuffer, analyze_state, neighbor_hull_distances
 from conftest import oracle_hull_distances
 
 EPS = 1.0
@@ -74,26 +77,43 @@ def test_lockstep_matches_per_agent_hull_distance(seed, n, d, alphas, kind, jitt
     _check_step(x, next_x + rng.normal(scale=jitter, size=x.shape) if jitter else next_x, alpha)
 
 
-def test_thin_clusters_keep_their_strays():
+def test_thin_clusters_keep_their_strays(monkeypatch):
     # the known false-positive shape: Wolfe residuals of 1e-12 to 1e-11 on
     # nearly collinear three-agent clusters stay above HULL_TOL
+    calls = _counting(monkeypatch)
     rng = np.random.default_rng(5)
     x = _thin_clusters(rng, 60, 2)
     alpha = rng.choice([0.0, 0.3, 0.6], 60)
     want = _check_step(x, step(OpinionState(0, x, EPS), alpha).x, alpha)
     assert np.count_nonzero(want > HULL_TOL) >= 5
+    assert calls == []  # every problem, minor-loop drops included, solved in lockstep
 
 
 def _counting(monkeypatch) -> list:
+    """Record the vertex set of every rerun: ``profile.vertex_set_norm``
+    calls ``hull_distance(V, 0)``."""
     calls = []
     original = profile.hull_distance
 
     def counted(p, q, **kwargs):
-        calls.append(p[0].tolist())
+        calls.append(p.tobytes())
         return original(p, q, **kwargs)
 
     monkeypatch.setattr(profile, "hull_distance", counted)
     return calls
+
+
+def _singular_when_stacked(monkeypatch) -> None:
+    """Fail every stacked solve, so each problem that reaches Wolfe's minor
+    loop is rerun."""
+    solve = np.linalg.solve
+
+    def singular_when_stacked(a, b):
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_when_stacked)
 
 
 # agent 0 moves to a point whose Wolfe run drops a vertex in the minor loop
@@ -101,30 +121,33 @@ TRIANGLE = np.array([[0.0, 0.1], [0.2, 0.7], [0.2, 0.6]])
 DROP_POINT = [0.0, 0.6]
 
 
-def test_minor_loop_drop_is_rerun_by_hull_distance(monkeypatch):
+def test_minor_loop_drop_is_solved_in_lockstep(monkeypatch):
     calls = _counting(monkeypatch)
     next_x = TRIANGLE.copy()
     next_x[0] = DROP_POINT
     want = _check_step(TRIANGLE, next_x, np.zeros(3))
-    assert want[0] == pytest.approx(0.158113883008419, abs=1e-12)
-    assert DROP_POINT in calls
+    assert want[0] == 0.158113883008419  # the oracle's bits, which _check_step matched
+    assert calls == []
 
 
 @pytest.mark.parametrize("stray_first", [True, False])
 def test_rerun_failure_surfaces_where_the_per_agent_route_raised(monkeypatch, stray_first):
     # one isolated agent leaves its hull (a stray settled in lockstep) and
-    # one triangle agent needs a rerun, which here fails; the step record
-    # stops at the first stray, as any() over the agents did, and a checker
-    # counts every agent, so it meets the failure
+    # one triangle agent needs a rerun (its stacked solve fails), which
+    # here fails too; the step record stops at the first stray, as any()
+    # over the agents did, and a checker counts every agent, so it meets
+    # the failure when its buffer is solved
+    _singular_when_stacked(monkeypatch)
     original = profile.hull_distance
+    lone, moved = [5.0, 5.0], [5.5, 5.0]
+    failing_set = (np.array(DROP_POINT) - TRIANGLE).tobytes()
 
     def failing(p, q, **kwargs):
-        if p[0].tolist() == DROP_POINT:
+        if p.tobytes() == failing_set:
             raise NumericalFailure("no convergence", best=1.0, gap=1.0)
         return original(p, q, **kwargs)
 
     monkeypatch.setattr(profile, "hull_distance", failing)
-    lone, moved = [5.0, 5.0], [5.5, 5.0]
     x = np.array([lone, *TRIANGLE] if stray_first else [*TRIANGLE, lone])
     next_x = x.copy()
     next_x[0 if stray_first else 3] = moved
@@ -137,8 +160,10 @@ def test_rerun_failure_surfaces_where_the_per_agent_route_raised(monkeypatch, st
         with pytest.raises(NumericalFailure):
             compute_step_metrics(state, nxt, alpha, hull=True)
     now = analyze_state(state)
+    checker = Checker(EPS)
+    checker.push(alpha, now, analyze_state(nxt, now))  # buffered, not yet solved
     with pytest.raises(NumericalFailure):
-        Checker(EPS).push(alpha, now, analyze_state(nxt, now))
+        _ = checker.violations
 
 
 def test_singular_stack_is_rerun(monkeypatch):
@@ -159,3 +184,110 @@ def test_singular_stack_is_rerun(monkeypatch):
     _check_step(x, step(OpinionState(0, x, EPS), alpha).x + rng.normal(scale=1e-3, size=x.shape),
                 alpha)
     assert calls
+
+
+def _run(seed: int, n: int, d: int, steps: int, jitter: float = 0.0):
+    """A constant-schedule run of thin clusters and one wide cloud, as
+    (alphas, analyses); a nonzero jitter moves every stored opinion."""
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([_thin_clusters(rng, n // 2, d), rng.uniform(-1.0, 1.5, (n - n // 2, d))])
+    alpha = rng.choice([0.0, 0.3, 0.6], n)
+    traj = simulate(ModelConfig(x, EPS, StubbornnessSchedule("constant", alpha=alpha), steps,
+                                seed=seed, monitors=(), consensus_tol=1e-300))
+    states = [s + rng.normal(scale=jitter, size=s.shape) if jitter else s for s in traj.states]
+    analyses = [analyze_state(OpinionState(0, states[0], EPS))]
+    for t, s in enumerate(states[1:], 1):
+        analyses.append(analyze_state(OpinionState(t, s, EPS), analyses[-1]))
+    return traj.alphas, analyses
+
+
+def _spy_flushes(monkeypatch) -> list:
+    """Record the buffered bytes at every add (before, after) and every solve (None)."""
+    events = []
+    add, count_over = HullBuffer.add, HullBuffer.count_over
+
+    def spied_add(self, step, now, next_x):
+        before = self.nbytes
+        add(self, step, now, next_x)
+        events.append((before, self.nbytes))
+
+    def spied_count_over(self, tol):
+        events.append(None)
+        return count_over(self, tol)
+
+    monkeypatch.setattr(HullBuffer, "add", spied_add)
+    monkeypatch.setattr(HullBuffer, "count_over", spied_count_over)
+    return events
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("jitter", (0.0, 1e-3))
+def test_buffered_checker_counts_what_each_step_counts(d, jitter, monkeypatch):
+    budget = 4096
+    monkeypatch.setattr(monitors, "HULL_BUFFER_BYTES", budget)
+    events = _spy_flushes(monkeypatch)
+    alphas, analyses = _run(10 + d, 40, d, 12, jitter)
+    checker = Checker(EPS)
+    for t, alpha in enumerate(alphas):
+        checker.push(alpha, analyses[t], analyses[t + 1])
+        assert checker._hull.nbytes < budget  # solved once it reached the budget
+    flushes_while_pushing = events.count(None)
+    strays = checker.violations["hull"]
+    assert flushes_while_pushing >= 2 and events[-1] is None
+    assert strays == sum(dist > HULL_TOL for t in range(len(alphas))
+                         for dist in neighbor_hull_distances(analyses[t], analyses[t + 1].x))
+    # the buffer never holds more than the budget and one step's stacks:
+    # each add finds it below the budget
+    assert all(event[0] < budget for event in events if event is not None)
+    if jitter:
+        assert strays > 0
+
+
+def test_checker_reruns_in_step_and_agent_order(monkeypatch):
+    # every problem that reaches the minor loop is rerun; the buffered
+    # checker must make the reruns the per-step route makes, in its order
+    # (steps, then agents), whatever neighbor count each problem has
+    _singular_when_stacked(monkeypatch)
+    calls = _counting(monkeypatch)
+    alphas, analyses = _run(4, 30, 2, 6, 1e-9)
+    per_step = [sum(dist > HULL_TOL for dist in neighbor_hull_distances(analyses[t], analyses[t + 1].x))
+                for t in range(len(alphas))]
+    want = calls[:]
+    calls.clear()
+    assert len({len(c) for c in want}) > 1  # reruns of several neighbor counts
+    checker = Checker(EPS)
+    for t, alpha in enumerate(alphas):
+        checker.push(alpha, analyses[t], analyses[t + 1])
+    assert calls == []  # all buffered
+    assert checker.violations["hull"] == sum(per_step)
+    assert calls == want
+
+
+def test_checker_without_hull_buffers_nothing(monkeypatch):
+    def no_stacks(now, next_x):
+        raise AssertionError("a checker without the hull built hull problems")
+
+    monkeypatch.setattr(profile, "hull_stacks", no_stacks)
+    alphas, analyses = _run(7, 20, 2, 5)
+    checker = Checker(EPS, hull=False)
+    for t, alpha in enumerate(alphas):
+        checker.push(alpha, analyses[t], analyses[t + 1])
+        assert checker._hull.nbytes == 0 and checker._hull.stacks == {}
+    assert checker.violations["hull"] == 0
+
+
+def test_stored_check_matches_the_per_step_count():
+    # check_trajectory, through the default budget, against the per-step route
+    rng = np.random.default_rng(21)
+    x = _thin_clusters(rng, 45, 2)
+    alpha = rng.choice([0.0, 0.3, 0.6], 45)
+    traj = simulate(ModelConfig(x, EPS, StubbornnessSchedule("constant", alpha=alpha), 15,
+                                seed=0, monitors=(), consensus_tol=1e-300))
+    strays = 0
+    now = analyze_state(traj.state_at(0))
+    for t in range(traj.steps):
+        nxt = analyze_state(traj.state_at(t + 1), now)
+        strays += int(np.count_nonzero(oracle_hull_distances(now.x, nxt.x, now.mask) > HULL_TOL))
+        now = nxt
+    assert strays > 0
+    assert check_trajectory(traj)["violations"]["hull"] == strays
