@@ -33,7 +33,7 @@ import numpy as np
 from .dynamics import OpinionState, neighbor_matrix, squared_distances
 from .errors import IntegrityError
 from .profile import (HullBuffer, StateAnalysis, analyze_state, capped_energy,
-                      detect_merge_events, diameter, neighbor_hull_distances, neighbor_spread)
+                      detect_merge_events, diameter, neighbor_spread)
 from .trajectory import Trajectory
 
 ENERGY_SLACK = 1e-9  # relative to n^2 eps^2
@@ -201,8 +201,7 @@ def _step_metrics(alpha: np.ndarray, now: StateAnalysis, nxt: StateAnalysis, *,
         contraction_ok=cv.contraction_ok,
         nonexpansion_ok=cv.nonexpansion_ok,
         interaction=_interact(now, nxt) if interaction else None,
-        hull_ok=(not any(dist > HULL_TOL for dist in neighbor_hull_distances(now, nxt.x))
-                 if hull else None),
+        hull_ok=HullBuffer().add(0, now, nxt.x).count_over(HULL_TOL) == 0 if hull else None,
     )
 
 
@@ -449,11 +448,12 @@ class Checker:
     ``delta`` defaults to epsilon/4.
 
     With ``hull`` on, ``push`` adds the step's hull problems to a
-    ``profile.HullBuffer`` instead of solving them. The buffer is solved
-    once it reaches ``HULL_BUFFER_BYTES``, and before every read of
-    ``violations``, so a ``NumericalFailure`` of the hull check is raised
-    for the first agent that a loop over steps and agents would meet, by
-    ``report`` or a ``violations`` read at the latest.
+    ``profile.HullBuffer`` instead of solving them. ``profile.hull_strays``
+    solves the buffer once it reaches ``HULL_BUFFER_BYTES``, and before
+    every read of ``violations``, with one Wolfe kernel call per neighbor
+    count. A problem that does not converge raises ``NumericalFailure``
+    for the first (step, agent) that failed, by ``report`` or a
+    ``violations`` read at the latest.
     """
 
     def __init__(self, epsilon: float, delta: Optional[float] = None, *, hull: bool = True):

@@ -19,9 +19,9 @@ single-purpose routine computes (``neighbor_matrix`` and its row sums,
 of them calls that routine instead of building a whole analysis. A
 ``StateAnalysis`` is a ``Profile``: the mask is the only form in which a
 profile graph is held. The independent pure-Python edge and merge-detection
-routes, the eager analysis and the per-agent hull check live in the tests
-as oracles, so agreement between this module and the dynamics stays a
-checked invariant.
+routes, the eager analysis, the per-agent hull check and a scalar Wolfe
+loop live in the tests as oracles, so agreement between this module, the
+Wolfe kernel and the dynamics stays a checked invariant.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .dynamics import OpinionState, _neighbor_mask, squared_distances
 from .errors import NumericalFailure
-from .wolfe import min_norm_distances
+from .wolfe import MAX_ITER, min_norm_distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,34 +263,17 @@ def diameter(points: np.ndarray) -> float:
     return float(np.sqrt(d2.max()))
 
 
-def _affine_minimizer(Vs: np.ndarray) -> np.ndarray:
-    """Weights mu (summing to 1, sign-free) minimizing ||mu @ Vs||."""
-    m = Vs.shape[0]
-    A = np.empty((m + 1, m + 1))
-    A[:m, :m] = Vs @ Vs.T
-    A[:m, m] = 1.0
-    A[m, :m] = 1.0
-    A[m, m] = 0.0
-    b = np.zeros(m + 1)
-    b[m] = 1.0
-    try:
-        sol = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(A, b, rcond=None)[0]
-    return sol[:m]
-
-
-def hull_distance(P: np.ndarray, Q: np.ndarray, *, atol: float = 1e-9, max_iter: int = 1000) -> float:
+def hull_distance(P: np.ndarray, Q: np.ndarray, *, max_iter: int = MAX_ITER) -> float:
     """Euclidean distance between the convex hulls of two point sets.
 
     Minimizes ||sum_i lam_i p_i - sum_j mu_j q_j|| over the two weight
     simplices, cast as the min-norm point of the pairwise difference set and
     solved with Wolfe's corral algorithm (iterative conditional-gradient
     vertex selection plus exact affine minimization over the active set),
-    which terminates at machine precision on desk-scale inputs; ``atol`` is
-    the accepted distance tolerance if termination is only approximate.
-    Returns 0.0 when the hulls intersect. Raises NumericalFailure carrying
-    the best value and a gap bound if the duality gap never closes.
+    which terminates at machine precision on desk-scale inputs: one
+    ``wolfe.min_norm_distances`` call on a stack of one problem. Returns 0.0
+    when the hulls intersect. Raises NumericalFailure carrying the best
+    value and a gap bound if the duality gap never closes.
     """
     P = np.atleast_2d(np.asarray(P, dtype=np.float64))
     Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
@@ -299,69 +282,18 @@ def hull_distance(P: np.ndarray, Q: np.ndarray, *, atol: float = 1e-9, max_iter:
     if P.shape[1] != Q.shape[1]:
         raise ValueError(f"dimension mismatch: {P.shape[1]} vs {Q.shape[1]}")
     # vertices of the difference set {p - q}
-    V = (P[:, None, :] - Q[None, :, :]).reshape(-1, P.shape[1])
-    norms2 = np.einsum("ij,ij->i", V, V)
-    scale2 = float(norms2.max())
-    scale = float(np.sqrt(scale2))
-    zero_tol = 1e-12 * (1.0 + scale)
-    gap_tol = 1e-14 * max(scale2, 1e-300)
+    V = (P[:, None, :] - Q[None, :, :]).reshape(1, -1, P.shape[1])
+    dist, failed = min_norm_distances(V, max_iter)
+    if failed:
+        raise _not_converged(float(dist[0]), failed[0], max_iter)
+    return float(dist[0])
 
-    corral = [int(np.argmin(norms2))]
-    lam = np.array([1.0])
-    x = V[corral[0]].copy()
-    gap = float("inf")
 
-    for _ in range(max_iter):
-        nrm = float(np.linalg.norm(x))
-        if nrm <= zero_tol:
-            return 0.0
-        dots = V @ x
-        s = int(np.argmin(dots))
-        gap = float(x @ x - dots[s])
-        if gap <= gap_tol:
-            return nrm
-        if s in corral:
-            # the corral cannot improve further; accept within contract
-            if gap <= atol * (nrm + atol):
-                return nrm
-            break
-        corral.append(s)
-        lam = np.append(lam, 0.0)
-        # minor loop: pull the corral back to a feasible affine minimizer
-        while True:
-            Vs = V[corral]
-            mu = _affine_minimizer(Vs)
-            if np.all(mu > 1e-12):
-                lam = mu
-                x = mu @ Vs
-                break
-            neg = np.flatnonzero(mu <= 1e-12)
-            thetas = lam[neg] / (lam[neg] - mu[neg])
-            pick = int(np.argmin(thetas))
-            theta = min(1.0, max(0.0, float(thetas[pick])))
-            lam = theta * mu + (1.0 - theta) * lam
-            drop = int(neg[pick])
-            keep = np.ones(len(corral), dtype=bool)
-            keep[drop] = False
-            keep &= ~(lam <= 1e-14)
-            if not keep.any():
-                keep[int(np.argmax(lam))] = True
-            corral = [corral[i] for i in range(len(corral)) if keep[i]]
-            lam = lam[keep]
-            lam = lam / lam.sum()
-            x = lam @ V[corral]
-            if len(corral) == 1:
-                break
-    nrm = float(np.linalg.norm(x))
-    if nrm <= zero_tol:
-        return 0.0
-    gap = float(x @ x - (V @ x).min())  # fresh bound for the final verdict
-    if gap <= atol * (nrm + atol):
-        return nrm
-    raise NumericalFailure(
+def _not_converged(best: float, gap: float, max_iter: int) -> NumericalFailure:
+    return NumericalFailure(
         f"hull_distance did not converge in {max_iter} iterations "
-        f"(best {nrm}, gap bound {gap})",
-        best=nrm,
+        f"(best {best}, gap bound {gap})",
+        best=best,
         gap=gap,
     )
 
@@ -387,44 +319,6 @@ def hull_stacks(now: StateAnalysis, next_x: np.ndarray):
     return stacks
 
 
-def vertex_set_norm(V: np.ndarray) -> float:
-    """Norm of the min-norm point of the convex hull of the rows of V, by
-    ``hull_distance``: the vertex set it builds from P = V and Q = 0 is V
-    itself, bit for bit (v - 0.0 is v), so this is the per-agent call whose
-    vertex set is V."""
-    return hull_distance(V, np.zeros((1, V.shape[1])))
-
-
-def neighbor_hull_distances(now: StateAnalysis, next_x: np.ndarray):
-    """Distance of each agent's next opinion ``next_x[i]`` from the convex
-    hull of its neighbors' opinions in ``now``, as an iterator in agent
-    order whose i-th value is ``hull_distance(next_x[i][None, :],
-    now.x[N_i])`` bit for bit.
-
-    The agents with one neighbor count k are solved together, by
-    ``wolfe.min_norm_distances`` on their stack from ``hull_stacks``. A
-    problem it flags is run by ``vertex_set_norm`` when the iterator
-    reaches that agent, so a ``NumericalFailure`` is raised for the same
-    agent as in a loop over the agents, and a consumer that stops early,
-    like ``any``, runs no rerun after the point where it stopped.
-    """
-    dist = np.zeros(now.n)
-    reruns = {}
-    for agents, V in hull_stacks(now, next_x):
-        dist[agents], rerun = min_norm_distances(V)
-        reruns.update(zip(agents[rerun].tolist(), V[rerun]))
-    return _in_agent_order(dist.tolist(), reruns)
-
-
-def _in_agent_order(dist: list, reruns: dict):
-    """Yield ``dist`` in agent order, with ``vertex_set_norm`` run on the
-    vertex set of each agent in ``reruns`` when it is reached."""
-    for i, value in enumerate(dist):
-        if i in reruns:
-            value = vertex_set_norm(reruns[i])
-        yield value
-
-
 class HullBuffer:
     """The hull problems of many steps, kept by neighbor count k until
     ``count_over`` solves them with ``hull_strays``."""
@@ -433,10 +327,12 @@ class HullBuffer:
         self.stacks: dict = {}  # k -> [((step, agents), (B, k, d) stack)]
         self.nbytes = 0
 
-    def add(self, step: int, now: StateAnalysis, next_x: np.ndarray) -> None:
+    def add(self, step: int, now: StateAnalysis, next_x: np.ndarray) -> "HullBuffer":
+        """Add the hull problems of the step from ``now`` to ``next_x``; returns the buffer."""
         for agents, V in hull_stacks(now, next_x):
             self.stacks.setdefault(V.shape[1], []).append(((step, agents), V))
             self.nbytes += V.nbytes
+        return self
 
     def count_over(self, tol: float) -> int:
         """Empty the buffer, returning how many of its distances exceed ``tol``."""
@@ -447,20 +343,21 @@ class HullBuffer:
 def hull_strays(stacks: dict, tol: float) -> int:
     """How many distances of the buffered hull problems ``stacks`` (of a
     ``HullBuffer``) exceed ``tol``: one ``wolfe.min_norm_distances`` call
-    per neighbor count k, over the stacks of every buffered step. The
-    problems the kernel flags are run by ``vertex_set_norm`` in (step,
-    agent) order, so a ``NumericalFailure`` is raised for the first of
-    them that a loop over steps and agents meets."""
-    over, reruns = 0, []
+    per neighbor count k, over the stacks of every buffered step. Raises
+    the ``NumericalFailure`` of the first problem that did not converge in
+    (step, agent) order, the one that a loop over steps and agents meets."""
+    over, failures = 0, []
     for parts in stacks.values():
         V = np.concatenate([V for _, V in parts]) if len(parts) > 1 else parts[0][1]
-        dist, rerun = min_norm_distances(V)
+        dist, failed = min_norm_distances(V)
         over += int(np.count_nonzero(dist > tol))
-        if rerun.any():
+        if failed:
             owners = [(step, i) for (step, agents), _ in parts for i in agents.tolist()]
-            reruns += [(owners[b], V[b]) for b in np.flatnonzero(rerun).tolist()]
-    reruns.sort(key=lambda rerun: rerun[0])
-    return over + sum(vertex_set_norm(V) > tol for _, V in reruns)
+            failures += [(owners[b], float(dist[b]), gap) for b, gap in failed.items()]
+    if failures:
+        _, best, gap = min(failures)
+        raise _not_converged(best, gap, MAX_ITER)
+    return over
 
 
 @dataclass
