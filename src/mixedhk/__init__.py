@@ -56,6 +56,7 @@ from .spectral import (
     check_cheeger,
     cheeger_constant,
     eigh,
+    eigvalsh,
     is_generalized_laplacian,
     lambda2_chain_check,
     laplacian,

@@ -8,6 +8,7 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -36,7 +37,9 @@ def _add_common(parser):
                         help="output format (default: csv for trajectories, json for reports)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="mixed-hk",
         description="Simulate mixed stubborn-averaging opinion dynamics and "

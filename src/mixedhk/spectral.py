@@ -1,7 +1,9 @@
 """Graph Laplacian machinery for the update operator I - B(t).
 
 Provides the Laplacian and generalized-Laplacian predicate, a dense cyclic
-Jacobi eigensolver (desk scale, n <= 64), exact Cheeger constants (n <= 16)
+Jacobi eigensolver (desk scale, n <= 64) that rotates one symmetric row pair
+of Python floats at a time, with ``eigh`` for the full eigensystem and
+``eigvalsh`` for eigenvalues alone, exact Cheeger constants (n <= 16)
 by an exhaustive search that builds every subset's boundary from a smaller
 subset's (subset doubling), the factorization of the update operator through
 the Laplacian, and the numerically checked eigenvalue chain that powers the
@@ -48,15 +50,19 @@ def is_generalized_laplacian(M: np.ndarray, profile: Profile) -> bool:
     return bool(np.all(M[edges] < 0.0) and np.all(M[gaps] == 0.0))
 
 
-def eigh(M: np.ndarray, *, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigensystem of a symmetric matrix by cyclic Jacobi rotations.
+def _jacobi(M: np.ndarray, max_sweeps: int, vectors: bool):
+    """Validate M and diagonalize it by cyclic Jacobi rotations.
 
-    Returns (eigenvalues ascending, eigenvector columns, orthonormal). Signs
-    are canonicalized so each eigenvector's largest-magnitude entry is
-    positive, which makes positivity assertions deterministic. Intended for
-    desk-scale matrices (n <= 64). Raises ValueError for a NaN or infinite
-    entry, and NumericalFailure if the off-diagonal mass does not vanish
-    within ``max_sweeps`` sweeps.
+    Returns the diagonal left by the last sweep, unsorted, and the rotated
+    basis as rows of V' when ``vectors`` is set (None otherwise). A sits in
+    a flat row-major list of Python floats, and each rotation is one pass
+    over a row pair mirrored into the two columns. That gives the bits of
+    the column pass followed by the row pass: A is bitwise symmetric
+    ((A + A')/2 is, since addition commutes, and a rotation keeps it so), so
+    off the 2 x 2 block both passes read the same operands, and Python
+    floats round each product and each difference once, as numpy's ufuncs
+    do. Only the block needs the two-step form. V needs the column pass
+    alone, which on rows of V' is one pass over a row pair.
     """
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -78,48 +84,81 @@ def eigh(M: np.ndarray, *, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray
     if fro == 0.0:
         return np.zeros(n), np.eye(n)
 
-    # A sits on top of V, so one column rotation of W turns both
-    W = np.vstack((A, np.eye(n)))
-    A, V = W[:n], W[n:]
+    a = A.ravel().tolist()  # row k is also column k
+    vt = np.eye(n).tolist() if vectors else None
     for _ in range(max_sweeps):
+        A = np.array(a).reshape(n, n)
         off = A - np.diag(np.diag(A))
         off_norm = float(np.sqrt((off * off).sum()))
         if off_norm <= 1e-14 * fro:
             break
-        thresh = off_norm / (n * n)
+        skip = off_norm / (n * n) * 1e-4
         for p in range(n - 1):
+            row_p = a[p * n:p * n + n]
             for q in range(p + 1, n):
-                apq = float(A[p, q])
-                if abs(apq) <= thresh * 1e-4:
+                apq = row_p[q]
+                if abs(apq) <= skip:
                     continue
+                row_q = a[q * n:q * n + n]
+                app, aqq = row_p[p], row_q[q]
                 # apq != 0 here; Python floats overflow to inf like numpy's
-                theta = (float(A[q, q]) - float(A[p, p])) / (2.0 * apq)
+                theta = (aqq - app) / (2.0 * apq)
                 if theta >= 0.0:
                     t = 1.0 / (theta + math.sqrt(1.0 + theta * theta))
                 else:
                     t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                # each right-hand side is built from the old vectors first
-                W[:, p], W[:, q] = c * W[:, p] - s * W[:, q], s * W[:, p] + c * W[:, q]
-                A[p], A[q] = c * A[p] - s * A[q], s * A[p] + c * A[q]
-                A[p, q] = A[q, p] = 0.0
+                new_p = [c * x - s * y for x, y in zip(row_p, row_q)]
+                new_q = [s * x + c * y for x, y in zip(row_p, row_q)]
+                # the block's row pass reads the column pass's results
+                new_p[p] = c * (c * app - s * apq) - s * (c * apq - s * aqq)
+                new_q[q] = s * (s * app + c * apq) + c * (s * apq + c * aqq)
+                new_p[q] = new_q[p] = 0.0
+                a[p * n:p * n + n] = a[p::n] = new_p
+                a[q * n:q * n + n] = a[q::n] = new_q
+                row_p = new_p
+                if vt is not None:
+                    vp, vq = vt[p], vt[q]
+                    vt[p] = [c * x - s * y for x, y in zip(vp, vq)]
+                    vt[q] = [s * x + c * y for x, y in zip(vp, vq)]
     else:
         raise NumericalFailure(
             f"Jacobi sweep limit {max_sweeps} reached with off-diagonal norm {off_norm}",
-            best=np.sort(np.diag(A)),
+            best=np.sort(a[::n + 1]),
             gap=off_norm,
         )
+    return np.array(a[::n + 1]), vt
 
-    w = np.diag(A).copy()
+
+def eigh(M: np.ndarray, *, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigensystem of a symmetric matrix by cyclic Jacobi rotations.
+
+    Returns (eigenvalues ascending, eigenvector columns, orthonormal). Signs
+    are canonicalized so each eigenvector's largest-magnitude entry is
+    positive, which makes positivity assertions deterministic. Intended for
+    desk-scale matrices (n <= 64). Raises ValueError for a NaN or infinite
+    entry, and NumericalFailure if the off-diagonal mass does not vanish
+    within ``max_sweeps`` sweeps. Each rotation updates the row pair (p, q)
+    of A and of V' in Python floats; the result has the bits of rotating
+    the columns and then the rows of numpy arrays.
+    """
+    w, vt = _jacobi(M, max_sweeps, vectors=True)
     order = np.argsort(w, kind="stable")
-    w = w[order]
-    V = V[:, order]
-    for k in range(n):
+    V = np.array(vt).T[:, order]
+    for k in range(len(w)):
         col = V[:, k]
         if col[int(np.argmax(np.abs(col)))] < 0.0:
             V[:, k] = -col
-    return w, V
+    return w[order], V
+
+
+def eigvalsh(M: np.ndarray, *, max_sweeps: int = 60) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending: ``eigh(M)[0]`` bit for
+    bit, from the same rotations without accumulating eigenvectors. Raises
+    as ``eigh`` does."""
+    w, _ = _jacobi(M, max_sweeps, vectors=False)
+    return np.sort(w, kind="stable")
 
 
 def cheeger_constant(profile: Profile) -> float:
@@ -194,7 +233,7 @@ def check_cheeger(profile: Profile) -> SpectralReport:
     disconnected ones, noted for n in {1, 2} where the chain is boundary).
     """
     L = laplacian(profile)
-    w, _ = eigh(L)
+    w = eigvalsh(L)
     n = profile.n
     notes = []
     i_g = cheeger_constant(profile)
@@ -287,7 +326,7 @@ def lambda2_chain_check(profile: Profile, alpha: np.ndarray, *, samples: int = 1
     alpha = np.asarray(alpha, dtype=np.float64)
     Q = fact.I_minus_B
     QtQ = Q.T @ Q
-    w_qtq, vecs_qtq = eigh(QtQ)
+    w_qtq = eigvalsh(QtQ)
     scale = max(float(np.abs(QtQ).max()), 1.0)
     tol = 1e-9 * scale
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mixedhk import SCENARIOS, batch_run, config_to_text, parse_config_text, run_scenario
-from mixedhk.cli import main
+from mixedhk.cli import build_parser, main
 from mixedhk.scenarios import Scenario
 
 
@@ -292,6 +292,38 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["simulate"])  # missing --config
         assert exc.value.code == 2
+
+    def test_one_parser_serves_every_call(self, tmp_path, sync_config, capsys):
+        traj = str(tmp_path / "t.csv")
+        calls = [
+            ["simulate", "--config", str(sync_config), "--out", traj],
+            ["check", "--trajectory", traj],
+            ["spectral", "--trajectory", traj, "--step", "1", "--alpha", "0.2,0.2,0.2,0.2"],
+            ["scenario", "--list"],
+            ["batch", "--config", str(sync_config), "--runs", "2"],
+            ["check", "--trajectory", traj, "--no-hull", "--format", "csv"],
+            ["simulate"],
+            ["spectral", "--help"],
+            ["scenario", "no-such-scenario"],
+            ["spectral", "--config", str(sync_config), "--alpha", "0,0,0,0"],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        shared = [run(argv) for argv in calls]
+        assert build_parser() is build_parser()
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 0, 2, 0, 2, 0]
 
     def test_csv_format_report(self, sync_config, tmp_path, capsys):
         out = tmp_path / "t.csv"

@@ -1,5 +1,6 @@
 """Laplacians, the Jacobi solvers, Cheeger constants, and the operator chain."""
 
+import functools
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from mixedhk import (
     cheeger_constant,
     check_cheeger,
     eigh,
+    eigvalsh,
     is_generalized_laplacian,
     lambda2_chain_check,
     laplacian,
@@ -407,7 +409,8 @@ def random_connected_graph(rng, n: int) -> Profile:
 
 def symmetric_test_matrices():
     """n = 1, zero, diagonal, repeated-eigenvalue, slightly asymmetric,
-    Laplacian and random symmetric matrices up to n = 20."""
+    Laplacian and random symmetric matrices up to n = 20, then one random
+    symmetric and one Laplacian matrix at each n in {24, 32, 48, 64}."""
     rng = np.random.default_rng(71)
     yield from (np.array([[3.5]]), np.array([[0.0]]), np.array([[-2.0]]))
     yield from (np.zeros((4, 4)), np.eye(5), np.diag([3.0, -1.0, 0.0, 2.5, -7.0, 1e-3]))
@@ -424,10 +427,21 @@ def symmetric_test_matrices():
         yield M
         yield M + rng.uniform(-1e-11, 1e-11, size=(n, n))  # within 1e-10 of symmetric
         yield laplacian(random_graph(rng, n))
+    for n in (24, 32, 48, 64):
+        M = rng.normal(size=(n, n))
+        yield (M + M.T) / 2.0
+        yield laplacian(random_graph(rng, n))
+
+
+@functools.cache
+def oracle_eigensystems() -> list:
+    """(M, eigenvalues, eigenvectors) by ``oracle_eigh`` for every test
+    matrix, solved once per session: the oracle takes about 0.3 s at n = 64."""
+    return [(M, *oracle_eigh(M)) for M in symmetric_test_matrices()]
 
 
 class TestFastRoutesMatchOracles:
-    """Cheeger by subset doubling, Jacobi on the stacked (A; V) array and the
+    """Cheeger by subset doubling, Jacobi on Python-float row pairs and the
     variational samples drawn at once give the oracles' bits."""
 
     def test_cheeger_every_graph_up_to_6(self):
@@ -450,24 +464,29 @@ class TestFastRoutesMatchOracles:
             assert np.float64(fast).tobytes() == np.float64(slow).tobytes(), prof.edges
 
     def test_eigh(self):
-        for M in symmetric_test_matrices():
+        for M, w_oracle, V_oracle in oracle_eigensystems():
             w, V = eigh(M)
-            w_oracle, V_oracle = oracle_eigh(M)
-            assert w.tobytes() == w_oracle.tobytes()
-            assert V.tobytes() == V_oracle.tobytes()
+            assert w.tobytes() == w_oracle.tobytes(), M.shape
+            assert V.tobytes() == V_oracle.tobytes(), M.shape
+
+    def test_eigvalsh(self):
+        # test_eigh holds eigh(M)[0] to the same bytes, so this equals it too
+        for M, w_oracle, _ in oracle_eigensystems():
+            assert eigvalsh(M).tobytes() == w_oracle.tobytes(), M.shape
 
     def test_eigh_sweep_limit_failure(self):
         rng = np.random.default_rng(79)
         for n, sweeps in ((16, 1), (20, 1), (9, 2)):
             M = rng.normal(size=(n, n))
             M = (M + M.T) / 2.0
-            with pytest.raises(NumericalFailure) as fast:
-                eigh(M, max_sweeps=sweeps)
             with pytest.raises(NumericalFailure) as slow:
                 oracle_eigh(M, max_sweeps=sweeps)
-            assert str(fast.value) == str(slow.value)
-            assert fast.value.best.tobytes() == slow.value.best.tobytes()
-            assert fast.value.gap == slow.value.gap
+            for solve in (eigh, eigvalsh):
+                with pytest.raises(NumericalFailure) as fast:
+                    solve(M, max_sweeps=sweeps)
+                assert str(fast.value) == str(slow.value), solve.__name__
+                assert fast.value.best.tobytes() == slow.value.best.tobytes(), solve.__name__
+                assert fast.value.gap == slow.value.gap, solve.__name__
 
     def test_lambda2_chain_check(self):
         rng = np.random.default_rng(83)
@@ -491,6 +510,8 @@ class TestSpectralInputs:
         M[where] = value
         with pytest.raises(ValueError, match="finite"):
             eigh(M)
+        with pytest.raises(ValueError, match="finite"):
+            eigvalsh(M)
 
     def test_negative_sample_count_rejected(self):
         with pytest.raises(ValueError, match="samples"):
