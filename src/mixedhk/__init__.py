@@ -20,24 +20,11 @@ from .errors import (
 from .matching import MatchedForm, match_decomposition, verify_decomposition
 from .monitors import (
     Checker,
-    ContractionVerdict,
-    FloorVerdict,
-    MovementBudget,
-    StepMetrics,
     check_trajectory,
-    components_interact,
-    compute_step_metrics,
     consensus_envelope_check,
-    contraction_check,
     contraction_coefficient,
-    displacement_floor_check,
-    energy,
-    energy_drop_bound,
-    first_interaction_times,
     interaction_equivalence,
-    movement_budget_terms,
     settling_bounds,
-    settling_time,
 )
 from .profile import (
     EquilibriumVerdict,

@@ -18,8 +18,11 @@ Where a statement is asymptotic, the monitor evaluates a finite-horizon
 surrogate and says so; a verdict here is evidence, not proof.
 
 A ``Checker`` is the one verification engine, pushed each transition as
-alpha(t) and both states' analyses; every trajectory-level monitor reads
-one checker pass over the stored states.
+alpha(t) and both states' analyses. ``push`` returns the step's record (a
+plain dict; ``simulate``'s ``[monitors]`` records come from the same
+function), and ``report``, or ``check_trajectory`` over stored states,
+holds every trajectory-level quantity. ``interaction_equivalence`` and
+``consensus_envelope_check`` read one such pass for data it does not hold.
 """
 
 from __future__ import annotations
@@ -30,10 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import OpinionState, neighbor_matrix, squared_distances
 from .errors import IntegrityError
-from .profile import (HullBuffer, StateAnalysis, analyze_state, capped_energy,
-                      detect_merge_events, diameter, neighbor_spread)
+from .profile import HullBuffer, StateAnalysis, analyze_state, detect_merge_events, neighbor_spread
 from .trajectory import Trajectory
 
 ENERGY_SLACK = 1e-9  # relative to n^2 eps^2
@@ -41,31 +42,6 @@ DIAM_SLACK = 1e-12  # absolute, diameters are O(eps) at desk scale
 HULL_TOL = 1e-12  # absolute, distance of a new opinion from its neighbors' hull
 # A Checker solves its buffered hull problems once their stacks hold this many bytes
 HULL_BUFFER_BYTES = 128 * 1024
-
-
-def energy(state: OpinionState) -> float:
-    """Capped pairwise energy: sum over ordered pairs of min(dist^2, eps^2)."""
-    return capped_energy(squared_distances(state.x), state.epsilon)
-
-
-def energy_drop_bound(state: OpinionState, next_state: OpinionState, alpha: np.ndarray) -> float:
-    """Lower bound on Z(t) - Z(t+1) in terms of per-agent displacements.
-
-    The coefficient of agent i's squared displacement is
-    4 * (1 + |N_i| * alpha_i / (1 - alpha_i)) for alpha_i < 1 and plain 4 at
-    alpha_i = 1 (where the displacement is identically zero anyway).
-    """
-    disp_sq = ((next_state.x - state.x) ** 2).sum(axis=1)
-    return _drop_bound(alpha, neighbor_matrix(state).sum(axis=1), disp_sq)
-
-
-def _drop_bound(alpha: np.ndarray, degrees: np.ndarray, disp_sq: np.ndarray) -> float:
-    alpha = np.asarray(alpha, dtype=np.float64)
-    counts = degrees.astype(np.float64)
-    coeff = np.ones(len(alpha))
-    movable = alpha < 1.0
-    coeff[movable] += counts[movable] * (alpha[movable] / (1.0 - alpha[movable]))
-    return float(4.0 * (coeff * disp_sq).sum())
 
 
 def contraction_coefficient(alpha: np.ndarray) -> float:
@@ -80,47 +56,13 @@ def contraction_coefficient(alpha: np.ndarray) -> float:
     n = alpha.shape[0]
     if n < 2:
         raise ValueError("contraction coefficient needs at least two agents")
-    top = np.sort(alpha)[::-1]
-    a1, a2 = float(top[0]), float(top[1])
+    a2, a1 = np.sort(alpha)[-2:].tolist()
     return a1 - (a1 - a2) / n
 
 
-@dataclass
-class ContractionVerdict:
-    applicable: bool  # profile was epsilon-trivial, so the sharp factor binds
-    contraction_ok: Optional[bool]
-    nonexpansion_ok: bool
-    coefficient: Optional[float]
-    diam_before: float
-    diam_after: float
-
-
-def contraction_check(state: OpinionState, next_state: OpinionState,
-                      alpha: np.ndarray) -> ContractionVerdict:
-    """Check diam(t+1) <= beta * diam(t) on epsilon-trivial profiles and the
-    unconditional non-expansion diam(t+1) <= diam(t)."""
-    return _contraction(alpha, diameter(state.x), diameter(next_state.x), state.n,
-                        state.epsilon)
-
-
-def _contraction(alpha: np.ndarray, d_before: float, d_after: float, n: int,
-                 epsilon: float) -> ContractionVerdict:
-    """contraction_check from the diameters of both states."""
-    nonexp = d_after <= d_before + DIAM_SLACK
-    if n >= 2 and d_before <= epsilon:
-        coeff = contraction_coefficient(alpha)
-        ok = d_after <= coeff * d_before + DIAM_SLACK
-        return ContractionVerdict(True, ok, nonexp, coeff, d_before, d_after)
-    return ContractionVerdict(False, None, nonexp, None, d_before, d_after)
-
-
-def components_interact(state: OpinionState, next_state: OpinionState) -> bool:
+def _interact(now: StateAnalysis, nxt: StateAnalysis) -> bool:
     """True iff an edge of the next profile joins two different components
     of the current profile."""
-    return _interact(analyze_state(state), analyze_state(next_state))
-
-
-def _interact(now: StateAnalysis, nxt: StateAnalysis) -> bool:
     # shared labels mean an unchanged mask (see analyze_state), and no edge
     # of a mask joins two of its own components
     if nxt.labels is now.labels:
@@ -128,81 +70,45 @@ def _interact(now: StateAnalysis, nxt: StateAnalysis) -> bool:
     return bool((nxt.mask & (now.labels[:, None] != now.labels[None, :])).any())
 
 
-@dataclass
-class StepMetrics:
-    """Derived quantities for one recorded step t -> t+1."""
+def _step_record(alpha: np.ndarray, now: StateAnalysis, nxt: StateAnalysis, *,
+                 interaction: bool, hull: bool) -> dict:
+    """The record of step t -> t+1, from the analyses of both states.
 
-    t: int
-    energy: float
-    energy_next: float
-    energy_drop: float
-    energy_drop_bound: float
-    energy_ok: bool
-    contraction_coeff: Optional[float]
-    diam_global: float
-    diam_per_component: tuple
-    displacement_sq: tuple
-    epsilon_trivial: bool
-    contraction_ok: Optional[bool]
-    nonexpansion_ok: bool
-    interaction: Optional[bool] = None
-    hull_ok: Optional[bool] = None
-
-    def as_record(self) -> dict:
-        return {
-            "t": self.t,
-            "energy": self.energy,
-            "energy_next": self.energy_next,
-            "energy_drop": self.energy_drop,
-            "energy_drop_bound": self.energy_drop_bound,
-            "energy_ok": self.energy_ok,
-            "contraction_coeff": self.contraction_coeff,
-            "diam_global": self.diam_global,
-            "diam_per_component": list(self.diam_per_component),
-            "displacement_sq": list(self.displacement_sq),
-            "epsilon_trivial": self.epsilon_trivial,
-            "contraction_ok": self.contraction_ok,
-            "nonexpansion_ok": self.nonexpansion_ok,
-            "interaction": self.interaction,
-            "hull_ok": self.hull_ok,
-        }
-
-
-def compute_step_metrics(state: OpinionState, next_state: OpinionState,
-                         alpha: np.ndarray, *, interaction: bool = False,
-                         hull: bool = False) -> StepMetrics:
-    """Evaluate the per-step monitors for one transition."""
-    return _step_metrics(alpha, analyze_state(state), analyze_state(next_state),
-                         interaction=interaction, hull=hull)
-
-
-def _step_metrics(alpha: np.ndarray, now: StateAnalysis, nxt: StateAnalysis, *,
-                  interaction: bool, hull: bool) -> StepMetrics:
-    """compute_step_metrics from the analyses of both states."""
-    z_now = now.energy
-    z_next = nxt.energy
-    drop = z_now - z_next
+    Energy descent: the capped energy Z must drop by at least
+    4 * sum_i c_i ||x_i(t) - x_i(t+1)||^2, where c_i = 1 + |N_i| alpha_i /
+    (1 - alpha_i) for alpha_i < 1 and plain 1 at alpha_i = 1 (where the
+    displacement is identically zero anyway). Contraction: on an
+    epsilon-trivial profile diam(t+1) <= beta * diam(t), with beta the
+    ``contraction_coefficient``; non-expansion diam(t+1) <= diam(t) always.
+    ``interaction`` adds whether components of the current profile interact
+    at the next step, ``hull`` whether every new opinion lies within
+    ``HULL_TOL`` of its neighbors' hull; each is None when not asked for.
+    """
+    alpha = np.asarray(alpha, dtype=np.float64)
     disp_sq = ((nxt.x - now.x) ** 2).sum(axis=1)
-    bound = _drop_bound(alpha, now.degrees, disp_sq)
-    slack = ENERGY_SLACK * now.n**2 * now.epsilon**2
-    cv = _contraction(alpha, now.diameter, nxt.diameter, now.n, now.epsilon)
-    return StepMetrics(
-        t=now.t,
-        energy=z_now,
-        energy_next=z_next,
-        energy_drop=drop,
-        energy_drop_bound=bound,
-        energy_ok=drop >= bound - slack,
-        contraction_coeff=cv.coefficient,
-        diam_global=cv.diam_before,
-        diam_per_component=tuple(now.component_diameters),
-        displacement_sq=tuple(disp_sq.tolist()),
-        epsilon_trivial=cv.applicable,
-        contraction_ok=cv.contraction_ok,
-        nonexpansion_ok=cv.nonexpansion_ok,
-        interaction=_interact(now, nxt) if interaction else None,
-        hull_ok=HullBuffer().add(0, now, nxt.x).count_over(HULL_TOL) == 0 if hull else None,
-    )
+    ratio = np.divide(alpha, 1.0 - alpha, out=np.zeros(now.n), where=alpha < 1.0)
+    bound = float(4.0 * ((1.0 + now.degrees * ratio) * disp_sq).sum())
+    drop = now.energy - nxt.energy
+    d_before, d_after = now.diameter, nxt.diameter
+    trivial = now.n >= 2 and d_before <= now.epsilon
+    beta = contraction_coefficient(alpha) if trivial else None
+    return {
+        "t": now.t,
+        "energy": now.energy,
+        "energy_next": nxt.energy,
+        "energy_drop": drop,
+        "energy_drop_bound": bound,
+        "energy_ok": drop >= bound - ENERGY_SLACK * now.n**2 * now.epsilon**2,
+        "contraction_coeff": beta,
+        "diam_global": d_before,
+        "diam_per_component": list(now.component_diameters),
+        "displacement_sq": disp_sq.tolist(),
+        "epsilon_trivial": trivial,
+        "contraction_ok": d_after <= beta * d_before + DIAM_SLACK if trivial else None,
+        "nonexpansion_ok": d_after <= d_before + DIAM_SLACK,
+        "interaction": _interact(now, nxt) if interaction else None,
+        "hull_ok": HullBuffer().add(0, now, nxt.x).count_over(HULL_TOL) == 0 if hull else None,
+    }
 
 
 def consensus_envelope_check(traj: Trajectory, beta_cap: float) -> dict:
@@ -249,56 +155,26 @@ def consensus_envelope_check(traj: Trajectory, beta_cap: float) -> dict:
     }
 
 
-@dataclass
-class MovementBudget:
-    """Per-agent summability data: the movement-bounding terms and their sums."""
+def _movement_budgets(traj: Trajectory, degrees: np.ndarray,
+                      spread: np.ndarray) -> tuple[list, int]:
+    """Every agent's movement budget and the number of step-wise violations,
+    in one array pass from the (steps, n) arrays of neighbor counts and
+    neighbor spreads at each step.
 
-    agent: int
-    terms: tuple
-    partial_sums: tuple
-    bound_ok: tuple  # step-wise: movement <= term + slack
-    violations: int
-
-
-def movement_budget_terms(traj: Trajectory, agent: int) -> MovementBudget:
-    """Terms (1 - a_i(t)) (1 - 1/|N_i(t)|) max_{j in N_i} dist(i, j), whose
-    partial sums bound the agent's total movement; the step-wise inequality
-    ||x_i(t) - x_i(t+1)|| <= term is checked with 1e-12 slack."""
-    if not (0 <= agent < traj.n):
-        raise ValueError(f"agent {agent} out of range for n={traj.n}")
-    # every step's offsets from the agent: (steps, n, d)
-    x = np.array(traj.states)[:traj.steps]
-    diffs = x - x[:, agent, None, :]
-    # the agent's row of squared_distances, per coordinate ascending
-    d2 = diffs[..., 0] ** 2
-    for k in range(1, traj.d):
-        d2 = d2 + diffs[..., k] ** 2
-    rows = d2 <= traj.epsilon * traj.epsilon
-    # neighbor_spread's row sums of squared coordinate differences
-    spread2 = np.max((diffs * diffs).sum(axis=-1), axis=1, where=rows, initial=0.0)
-    return _movement_budgets(traj, np.array([agent]), np.count_nonzero(rows, axis=1)[:, None],
-                             np.sqrt(spread2)[:, None])[0]
-
-
-def _movement_budgets(traj: Trajectory, agents: np.ndarray, degrees: np.ndarray,
-                      spread: np.ndarray) -> list[MovementBudget]:
-    """Movement budgets of ``agents``, one array pass over the steps, from
-    the (steps, len(agents)) arrays of their neighbor counts and neighbor
-    spreads at each step."""
-    steps = traj.steps
-    if steps == 0:
-        return [MovementBudget(int(i), (), (), (), 0) for i in agents]
-    alphas = np.array([alpha[agents] for alpha in traj.alphas])
-    terms = (1.0 - alphas) * (1.0 - 1.0 / degrees) * spread
-    sums = np.cumsum(terms, axis=0)
-    x = np.array([state[agents] for state in traj.states])
+    Agent i's terms (1 - a_i(t)) (1 - 1/|N_i(t)|) max_{j in N_i} dist(i, j)
+    have partial sums bounding its total movement; the budget is the last
+    partial sum, and each step's ||x_i(t) - x_i(t+1)|| <= term is checked
+    with 1e-12 slack (a NaN fails it).
+    """
+    if traj.steps == 0:
+        return [0.0] * traj.n, 0
+    terms = (1.0 - np.array(traj.alphas)) * (1.0 - 1.0 / degrees) * spread
+    x = np.array(traj.states)
     moves = x[1:] - x[:-1]
     # the per-row dot product that np.linalg.norm takes of one move
     movement = np.sqrt(np.matmul(moves[..., None, :], moves[..., :, None])[..., 0, 0])
-    ok = movement <= terms + DIAM_SLACK
-    return [MovementBudget(int(i), tuple(terms[:, k].tolist()), tuple(sums[:, k].tolist()),
-                           tuple(ok[:, k].tolist()), int(steps - ok[:, k].sum()))
-            for k, i in enumerate(agents)]
+    violations = int(np.count_nonzero(~(movement <= terms + DIAM_SLACK)))
+    return np.cumsum(terms, axis=0)[-1].tolist(), violations
 
 
 @dataclass
@@ -310,9 +186,10 @@ class FloorVerdict:
     reason: str
 
 
-def displacement_floor_check(state: OpinionState, next_state: OpinionState,
-                             alpha: np.ndarray, delta: float) -> FloorVerdict:
-    """Check sum_i ||x_i(t) - x_i(t+1)||^2 > 2 delta^2 (1 - max alpha)^2 / n^8.
+def _floor(alpha: np.ndarray, delta: float, now: StateAnalysis, nxt) -> FloorVerdict:
+    """Check sum_i ||x_i(t) - x_i(t+1)||^2 > 2 delta^2 (1 - max alpha)^2 / n^8
+    from the analysis of the first state; of ``nxt``, the next state or its
+    analysis, only the opinions are read.
 
     Applicable whenever some component of the current profile is
     delta-nontrivial and every stubbornness entry is below one (restricting
@@ -320,29 +197,14 @@ def displacement_floor_check(state: OpinionState, next_state: OpinionState,
     the component size and its maximum stubbornness only tighten the bound).
     Inapplicable steps return an explicit not-applicable verdict.
     """
-    return _floor(alpha, delta, analyze_state(state), next_state)
-
-
-def _floor(alpha: np.ndarray, delta: float, now: StateAnalysis, nxt) -> FloorVerdict:
-    """displacement_floor_check from the analysis of the first state; of
-    ``nxt``, the next state or its analysis, only the opinions are read."""
-    if not (delta > 0):
-        raise ValueError(f"delta must be positive, got {delta}")
     alpha = np.asarray(alpha, dtype=np.float64)
     if np.any(alpha >= 1.0):
         return FloorVerdict(False, None, None, None, "some alpha_i = 1")
     if now.components_within(delta):
         return FloorVerdict(False, None, None, None, "every component delta-trivial")
-    n = now.n
     lhs = float(((nxt.x - now.x) ** 2).sum())
-    floor = 2.0 * delta**2 * (1.0 - float(alpha.max())) ** 2 / n**8
+    floor = 2.0 * delta**2 * (1.0 - float(alpha.max())) ** 2 / now.n**8
     return FloorVerdict(True, lhs > floor * (1.0 - 1e-9), lhs, floor, "applicable")
-
-
-def settling_time(traj: Trajectory, delta: float) -> Optional[int]:
-    """First recorded t at which every component's diameter is <= delta:
-    the ``tau_delta`` of one checker pass."""
-    return check_trajectory(traj, delta, hull=False)["tau_delta"]
 
 
 def settling_bounds(n: int, epsilon: float, delta: float, sup_alpha: float) -> tuple[float, float]:
@@ -398,21 +260,16 @@ def _equivalence_step(now: StateAnalysis, nxt: StateAnalysis, delta: float) -> O
             "half_eps_nontrivial": c3, "equivalent": c1 == c2 == c3}
 
 
-def first_interaction_times(traj: Trajectory) -> list[int]:
-    """Surrogate for the set of first-interaction times.
+def _interaction_times(epsilon: float, comp_cache: list, m_max: int = 64) -> list[int]:
+    """Surrogate for the set of first-interaction times, from every recorded
+    state's component diameters.
 
     For m = 4, 5, ..., with tau_m the settling time at delta = epsilon/m,
     collect the first t in [tau_m, tau_{m+1}) at which some component is
     (epsilon/m)-nontrivial. Windows truncated at the horizon; evaluation
     stops at the first m whose settling time is not reached, and at m = 64.
-    The times are the ``interaction_times`` of one checker pass.
+    The search runs on arrays of each state's widest component.
     """
-    return check_trajectory(traj, hull=False)["interaction_times"]
-
-
-def _interaction_times(epsilon: float, comp_cache: list, m_max: int = 64) -> list[int]:
-    """first_interaction_times from every recorded state's component
-    diameters, by array search over each state's widest component."""
     widest = np.array([max(diams) for diams in comp_cache])
     thresholds = epsilon / np.arange(4, m_max + 2)  # epsilon/m for m = 4..m_max+1
     # tau_m, the first t with widest[t] <= epsilon/m, is the number of
@@ -479,16 +336,16 @@ class Checker:
             self._violations["hull"] += self._hull.count_over(HULL_TOL)
         return self._violations
 
-    def push(self, alpha: np.ndarray, now: StateAnalysis, nxt: StateAnalysis) -> StepMetrics:
+    def push(self, alpha: np.ndarray, now: StateAnalysis, nxt: StateAnalysis) -> dict:
         """Verify the step from the state analysed by ``now`` to the one
-        analysed by ``nxt`` under ``alpha``."""
+        analysed by ``nxt`` under ``alpha``; returns the step's record."""
         if self._last is None:
             self._diameters.append(now.component_diameters)
-        m = _step_metrics(alpha, now, nxt, interaction=True, hull=False)
+        record = _step_record(alpha, now, nxt, interaction=True, hull=False)
         v = self._violations
-        v["energy_descent"] += not m.energy_ok
-        v["contraction"] += m.contraction_ok is False
-        v["nonexpansion"] += not m.nonexpansion_ok
+        v["energy_descent"] += not record["energy_ok"]
+        v["contraction"] += record["contraction_ok"] is False
+        v["nonexpansion"] += not record["nonexpansion_ok"]
         fv = _floor(alpha, self.delta, now, nxt)
         v["displacement_floor"] += fv.applicable and not fv.ok
         if self.hull:
@@ -496,10 +353,10 @@ class Checker:
             if self._hull.nbytes >= HULL_BUFFER_BYTES:
                 v["hull"] += self._hull.count_over(HULL_TOL)
         if self.equivalence is not None:
-            record = _equivalence_step(now, nxt, self.delta)
-            if record is not None:
-                self.equivalence.append(record)
-        self._records.append(m.as_record())
+            equivalent = _equivalence_step(now, nxt, self.delta)
+            if equivalent is not None:
+                self.equivalence.append(equivalent)
+        self._records.append(record)
         self._degrees.append(now.degrees)
         movable = np.flatnonzero(np.asarray(alpha) < 1.0)
         spread = np.zeros(now.n)
@@ -507,20 +364,23 @@ class Checker:
         self._spread.append(spread)
         self._diameters.append(nxt.component_diameters)
         self._last = nxt
-        return m
+        return record
 
     def report(self, traj: Trajectory) -> dict:
         """The check report of ``traj``, whose every transition was pushed:
         per-step records, violation counters (all zero on a healthy run),
-        merge events, settling data, and the first-interaction surrogate."""
+        merge events, settling data (``tau_delta``, the first recorded t at
+        which every component's diameter is <= delta), each agent's movement
+        budget (``partial_sums``), and the first-interaction surrogate
+        (``interaction_times``)."""
         last, diameters = self._last, self._diameters
         if last is None:  # a lone state, no transition
             last = analyze_state(traj.state_at(0))
             diameters = [last.component_diameters]
         delta = self.delta
-        budgets = _movement_budgets(traj, np.arange(traj.n), np.array(self._degrees),
-                                    np.array(self._spread))
-        violations = dict(self.violations, movement_bound=sum(b.violations for b in budgets),
+        partial_sums, movement_bound = _movement_budgets(traj, np.array(self._degrees),
+                                                         np.array(self._spread))
+        violations = dict(self.violations, movement_bound=movement_bound,
                           equivalence=sum(not r["equivalent"] for r in self.equivalence or ()))
         events = ([e.as_record() for e in detect_merge_events(traj.states)]
                   if len(traj.states) >= 2 else [])
@@ -545,7 +405,7 @@ class Checker:
             "sup_alpha": sup_a,
             "consensus_reached": last.components_within(traj.consensus_tol),
             "final_diameter": last.diameter,
-            "partial_sums": [b.partial_sums[-1] if b.partial_sums else 0.0 for b in budgets],
+            "partial_sums": partial_sums,
             "interaction_times": _interaction_times(traj.epsilon, diameters),
             "interaction_bound": interaction_bound,
             "merge_events": events,

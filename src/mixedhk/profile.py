@@ -15,8 +15,7 @@ its consensus test builds no n-by-n float matrix: the mask is computed in
 row blocks, and ``components_within`` rejects most states from one
 distance per agent. Each of these values equals, bit for bit, what its
 single-purpose routine computes (``neighbor_matrix`` and its row sums,
-``diameter``, ``monitors.energy``), so a single-step monitor that reads one
-of them calls that routine instead of building a whole analysis. A
+``diameter``, ``capped_energy`` of ``squared_distances``). A
 ``StateAnalysis`` is a ``Profile``: the mask is the only form in which a
 profile graph is held. The independent pure-Python edge and merge-detection
 routes, the eager analysis, the per-agent hull check and a scalar Wolfe
@@ -131,7 +130,7 @@ class StateAnalysis(Profile):
     the geometry is computed on first read, all three from one
     ``squared_distances`` call. No matrix is kept. Each value equals, bit
     for bit, what the single-purpose routine computes (``neighbor_matrix``,
-    ``diameter`` of the state and of each component, ``monitors.energy``).
+    ``diameter`` of the state and of each component, ``capped_energy``).
     """
 
     x: np.ndarray  # the state's opinions (the same array, not a copy)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import ModelConfig, StubbornnessSchedule
-from .monitors import movement_budget_terms
+from .monitors import Checker
 from .profile import build_profile, check_delta_equilibrium
 from .simulate import simulate
 from .trajectory import Trajectory
@@ -25,7 +25,7 @@ from .trajectory import Trajectory
 class Check:
     label: str
     claim: str
-    fn: Callable  # Trajectory -> (passed, expected, observed)
+    fn: Callable  # (Trajectory, check report or None) -> (passed, expected, observed)
 
 
 @dataclass
@@ -34,22 +34,26 @@ class Scenario:
     description: str
     config: ModelConfig
     checks: list
+    checked: bool = False  # simulate with a Checker (no hull) and hand its report to the checks
 
 
 def run_scenario(name: str) -> dict:
     """Run a built-in scenario and evaluate its assertions.
 
     Returns a JSON-ready report with one record per assertion; ``passed`` is
-    the conjunction.
+    the conjunction. A checked scenario is verified while it is simulated,
+    and each of its checks reads that one report.
     """
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
     scenario = SCENARIOS[name]()
-    traj = simulate(scenario.config)
+    checker = Checker(scenario.config.epsilon, hull=False) if scenario.checked else None
+    traj = simulate(scenario.config, checker)
+    report = checker.report(traj) if checker is not None else None
     records = []
     all_ok = True
     for check in scenario.checks:
-        passed, expected, observed = check.fn(traj)
+        passed, expected, observed = check.fn(traj, report)
         all_ok &= bool(passed)
         records.append({
             "label": check.label,
@@ -82,12 +86,12 @@ def _example1() -> Scenario:
         monitors=("energy", "contraction", "merge"),
     )
 
-    def no_steady(traj: Trajectory):
+    def no_steady(traj: Trajectory, _report):
         ok = traj.stop_reason == "horizon" and traj.steps == 200
         return ok, "200 steps, no exact steady state", \
             f"{traj.steps} steps, stop_reason={traj.stop_reason}"
 
-    def gap_law(traj: Trajectory):
+    def gap_law(traj: Trajectory, _report):
         worst = 0.0
         for t, x in enumerate(traj.states):
             gap = abs(float(x[1, 0] - x[0, 0]))
@@ -118,14 +122,14 @@ def _example2() -> Scenario:
         monitors=("energy", "contraction", "merge"),
     )
 
-    def merge_then_depart(traj: Trajectory):
+    def merge_then_depart(traj: Trajectory, _report):
         hit = [e for e in traj.events
                if e["type"] == "merge" and e["t"] == 1 and {e["i"], e["j"]} == {0, 1}]
         ok = bool(hit) and hit[0]["departed"]
         return ok, "agents 0 and 1 merge at t=1 and depart at t=2", \
             f"events={traj.events}"
 
-    def departure_coordinates(traj: Trajectory):
+    def departure_coordinates(traj: Trajectory, _report):
         # direct evaluation: at t=1 all three sit within epsilon, so both
         # agents mix with the common mean (0.5, 1/3)
         mean_y = (0.0 + 0.0 + 1.0) / 3.0
@@ -164,7 +168,7 @@ def _example3() -> Scenario:
         monitors=("energy", "contraction", "merge"),
     )
 
-    def no_equilibrium(traj: Trajectory):
+    def no_equilibrium(traj: Trajectory, _report):
         eps = traj.epsilon
         for delta in (eps, eps / 2.0, eps / 10.0):
             for t in range(len(traj.states)):
@@ -174,7 +178,7 @@ def _example3() -> Scenario:
                         f"equilibrium found at t={t}, delta={delta}"
         return True, "no delta-equilibrium for delta in {eps, eps/2, eps/10}", "none found"
 
-    def third_agent_isolated(traj: Trajectory):
+    def third_agent_isolated(traj: Trajectory, _report):
         for t in range(len(traj.states)):
             if build_profile(traj.state_at(t)).degree(2) != 0:
                 return False, "agent 2 isolated at every t", f"neighbor found at t={t}"
@@ -206,13 +210,13 @@ def _sync_hk() -> Scenario:
         monitors=("energy", "contraction", "merge"),
     )
 
-    def terminates(traj: Trajectory):
+    def terminates(traj: Trajectory, _report):
         ok = traj.stop_reason in ("steady", "consensus")
         return ok, "run freezes or collapses within 500 steps", \
             f"stop_reason={traj.stop_reason} after {traj.steps} steps"
 
-    def monitors_clean(traj: Trajectory):
-        bad = [m.t for m in traj.metrics if not (m.energy_ok and m.nonexpansion_ok)]
+    def monitors_clean(traj: Trajectory, _report):
+        bad = [m["t"] for m in traj.metrics if not (m["energy_ok"] and m["nonexpansion_ok"])]
         return not bad, "no energy-descent or diameter-expansion violations", \
             f"violating steps: {bad}"
 
@@ -240,7 +244,7 @@ def _async_hk() -> Scenario:
         monitors=("energy", "contraction", "merge"),
     )
 
-    def one_mover(traj: Trajectory):
+    def one_mover(traj: Trajectory, _report):
         for t in range(traj.steps):
             before, after = traj.states[t], traj.states[t + 1]
             moved = [i for i in range(traj.n)
@@ -250,8 +254,8 @@ def _async_hk() -> Scenario:
                     f"step {t} changed agents {moved}"
         return True, "exactly one opinion changes per step", "held at every step"
 
-    def energy_clean(traj: Trajectory):
-        bad = [m.t for m in traj.metrics if not m.energy_ok]
+    def energy_clean(traj: Trajectory, _report):
+        bad = [m["t"] for m in traj.metrics if not m["energy_ok"]]
         return not bad, "energy descent bound holds with stubbornness exactly 1",\
             f"violating steps: {bad}"
 
@@ -278,12 +282,12 @@ def _powerlaw_a2() -> Scenario:
         monitors=("energy", "contraction"),
     )
 
-    def movement_bounds(traj: Trajectory):
-        total = sum(movement_budget_terms(traj, i).violations for i in range(traj.n))
+    def movement_bounds(traj: Trajectory, report: dict):
+        total = report["violations"]["movement_bound"]
         return total == 0, "per-step movement never exceeds its budget term", \
             f"{total} violations"
 
-    def late_steps_small(traj: Trajectory):
+    def late_steps_small(traj: Trajectory, _report):
         worst = 0.0
         for t in range(1000, traj.steps):
             move = np.sqrt(((traj.states[t + 1] - traj.states[t]) ** 2).sum(axis=1))
@@ -292,9 +296,9 @@ def _powerlaw_a2() -> Scenario:
         return ok, "per-step movement beyond t=1000 below 1e-6*epsilon", \
             f"worst late movement {worst}"
 
-    def budget_convergent(traj: Trajectory):
+    def budget_convergent(traj: Trajectory, report: dict):
         cap = traj.epsilon * np.pi**2 / 6.0 + 1e-9
-        sums = [movement_budget_terms(traj, i).partial_sums[-1] for i in range(traj.n)]
+        sums = report["partial_sums"]
         ok = all(s <= cap for s in sums)
         return ok, "movement budgets summable (at most epsilon*pi^2/6)", \
             f"max partial sum {max(sums)}"
@@ -309,6 +313,7 @@ def _powerlaw_a2() -> Scenario:
                "saturates", late_steps_small),
          Check("summable-budget", "partial sums stay under the closed-form cap",
                budget_convergent)],
+        checked=True,
     )
 
 

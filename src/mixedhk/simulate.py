@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import ModelConfig, OpinionState, step
-from .monitors import Checker, _step_metrics
+from .monitors import Checker, _step_record
 from .profile import analyze_state, detect_merge_events
 from .trajectory import Trajectory
 
@@ -39,12 +39,15 @@ def simulate(config: ModelConfig, checker: Optional[Checker] = None) -> Trajecto
         next_analysis = analyze_state(nxt, analysis)
         alphas.append(alpha)
         states.append(nxt.x)
-        if checker is not None:
-            checker.push(alpha, analysis, next_analysis)
+        record = checker.push(alpha, analysis, next_analysis) if checker is not None else None
         if metrics is not None:
-            metrics.append(_step_metrics(alpha, analysis, next_analysis,
-                                         interaction="interaction" in flags,
-                                         hull="hull" in flags))
+            # the checker's record, without the hull check, holds every
+            # value but the interaction flag's
+            if record is None or "hull" in flags:
+                record = _step_record(alpha, analysis, next_analysis,
+                                      interaction="interaction" in flags, hull="hull" in flags)
+            metrics.append(dict(record, interaction=record["interaction"]
+                                if "interaction" in flags else None))
         if nxt.x.tobytes() == state.x.tobytes():
             stop_reason = "steady"
             break

@@ -37,12 +37,6 @@ def _sidecar(path: Path) -> Path:
     return path.with_name(path.stem + ".meta.json")
 
 
-def _metrics_records(traj: Trajectory):
-    if traj.metrics is None:
-        return None
-    return [m.as_record() if hasattr(m, "as_record") else m for m in traj.metrics]
-
-
 def write_trajectory(traj: Trajectory, path, fmt: str = "csv") -> Path:
     """Write a trajectory; returns the main file path."""
     path = Path(path)
@@ -52,7 +46,7 @@ def write_trajectory(traj: Trajectory, path, fmt: str = "csv") -> Path:
             "states": [[[float(v) for v in row] for row in x] for x in traj.states],
             "alphas": [[float(v) for v in a] for a in traj.alphas],
             "events": traj.events,
-            "metrics": _metrics_records(traj),
+            "metrics": traj.metrics,
         }
         path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
         return path
@@ -68,7 +62,7 @@ def write_trajectory(traj: Trajectory, path, fmt: str = "csv") -> Path:
             lines.append(f"{t},{i},{coords},{alpha}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     meta = {"header": traj.header(), "events": traj.events,
-            "metrics": _metrics_records(traj)}
+            "metrics": traj.metrics}
     _sidecar(path).write_text(json.dumps(meta, indent=1) + "\n", encoding="utf-8")
     return path
 

@@ -346,6 +346,54 @@ def oracle_movement_budget(traj, agent: int, slack: float = 1e-12) -> tuple:
     return tuple(terms), tuple(sums), tuple(ok), violations
 
 
+def step_record(state, next_state, alpha, *, interaction: bool = False,
+                hull: bool = False) -> dict:
+    """The step record of one transition, from a fresh analysis of each state."""
+    from mixedhk.monitors import _step_record
+    from mixedhk.profile import analyze_state
+
+    return _step_record(alpha, analyze_state(state), analyze_state(next_state),
+                        interaction=interaction, hull=hull)
+
+
+def floor_verdict(state, next_state, alpha, delta: float):
+    """The displacement-floor verdict of one transition, from a fresh
+    analysis of the first state."""
+    from mixedhk.monitors import _floor
+    from mixedhk.profile import analyze_state
+
+    return _floor(alpha, delta, analyze_state(state), next_state)
+
+
+def oracle_energy_drop_bound(state, next_state, alpha) -> float:
+    """The energy-drop bound with the degrees from ``neighbor_matrix`` and a
+    per-agent loop for the coefficients 1 + |N_i| alpha_i / (1 - alpha_i)."""
+    from mixedhk.dynamics import neighbor_matrix
+
+    degrees = neighbor_matrix(state).sum(axis=1)
+    disp_sq = ((next_state.x - state.x) ** 2).sum(axis=1)
+    coeff = np.ones(len(alpha))
+    for i, a in enumerate(np.asarray(alpha, dtype=np.float64)):
+        if a < 1.0:
+            coeff[i] += float(degrees[i]) * (a / (1.0 - a))
+    return float(4.0 * (coeff * disp_sq).sum())
+
+
+def oracle_contraction(state, next_state, alpha) -> tuple:
+    """(epsilon-trivial, contraction ok, non-expansion ok, coefficient,
+    diameter before, diameter after), with both diameters from
+    ``profile.diameter``."""
+    from mixedhk.monitors import DIAM_SLACK, contraction_coefficient
+    from mixedhk.profile import diameter
+
+    before, after = diameter(state.x), diameter(next_state.x)
+    nonexpansion = after <= before + DIAM_SLACK
+    if state.n >= 2 and before <= state.epsilon:
+        coeff = contraction_coefficient(alpha)
+        return True, after <= coeff * before + DIAM_SLACK, nonexpansion, coeff, before, after
+    return False, None, nonexpansion, None, before, after
+
+
 def oracle_interaction_times(epsilon: float, comp_cache: list, m_max: int = 64) -> list[int]:
     """First-interaction times by rescanning every state's component
     diameters once per threshold epsilon/m, with a window scan per m."""

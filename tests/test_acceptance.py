@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mixedhk import (
+    Checker,
     ModelConfig,
     OpinionState,
     Profile,
@@ -17,9 +18,6 @@ from mixedhk import (
     check_cheeger,
     contraction_coefficient,
     diameter,
-    displacement_floor_check,
-    energy,
-    energy_drop_bound,
     lambda2_chain_check,
     laplacian,
     match_decomposition,
@@ -34,7 +32,8 @@ from mixedhk import (
 )
 from mixedhk.profile import analyze_state
 from mixedhk.spectral import eigh
-from conftest import eigh_batch, is_connected_edges, oracle_hk_step, random_alpha, random_opinions
+from conftest import (eigh_batch, floor_verdict, is_connected_edges, oracle_hk_step, random_alpha,
+                      random_opinions, step_record)
 
 
 def report(k: int, ok: bool, detail: str):
@@ -65,16 +64,16 @@ def test_criterion_2_energy_descent_sweep():
         st = OpinionState(0, random_opinions(rng, n, d), float(rng.uniform(0.2, 2.0)))
         alpha = random_alpha(rng, n)  # mixes exact 0s and 1s with interior values
         nxt = step(st, alpha)
-        drop = energy(st) - energy(nxt)
-        bound = energy_drop_bound(st, nxt, alpha)
+        record = step_record(st, nxt, alpha)
+        drop, bound = record["energy_drop"], record["energy_drop_bound"]
         if drop < bound - 1e-9 * n**2 * st.epsilon**2:
             violations += 1
     # sharp anchor: the two half-stubborn agents attain equality at value 1.5
     st = OpinionState(0, np.array([[-0.5], [0.5]]), 1.0)
     alpha = np.array([0.5, 0.5])
     nxt = step(st, alpha)
-    drop = energy(st) - energy(nxt)
-    bound = energy_drop_bound(st, nxt, alpha)
+    record = step_record(st, nxt, alpha)
+    drop, bound = record["energy_drop"], record["energy_drop_bound"]
     anchor_ok = abs(drop - 1.5) <= 1e-12 and abs(drop - bound) <= 1e-12
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and anchor_ok and elapsed < 10.0
@@ -140,14 +139,13 @@ def test_criterion_4_geometric_consensus():
 
 def test_criterion_5_powerlaw_movement():
     rng = np.random.default_rng(20240501)
-    from mixedhk import movement_budget_terms
-
     cfg = ModelConfig(initial=rng.uniform(0.0, 1.0, size=(20, 2)), epsilon=0.5,
                       schedule=StubbornnessSchedule("power_law", exponent=2.0),
                       max_steps=1100, consensus_tol=1e-300, monitors=())
-    traj = simulate(cfg)
+    checker = Checker(cfg.epsilon, hull=False)
+    traj = simulate(cfg, checker)
     assert traj.steps == 1100
-    budget_violations = sum(movement_budget_terms(traj, i).violations for i in range(20))
+    budget_violations = checker.report(traj)["violations"]["movement_bound"]
     worst_late = 0.0
     for t in range(1000, traj.steps):
         move = np.sqrt(((traj.states[t + 1] - traj.states[t]) ** 2).sum(axis=1))
@@ -179,7 +177,7 @@ def test_criterion_6_settling_and_displacement_floor():
                     tau = t
                     break
                 nxt = step(state, alpha)
-                verdict = displacement_floor_check(state, nxt, alpha, delta)
+                verdict = floor_verdict(state, nxt, alpha, delta)
                 assert verdict.applicable, verdict.reason
                 assert verdict.ok, (verdict.displacement_sq_sum, verdict.floor)
                 floor_checks += 1

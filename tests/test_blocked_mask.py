@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import mixedhk.dynamics as dynamics
-import mixedhk.monitors as monitors
 import mixedhk.profile as profile
 from mixedhk import (
     Checker,
@@ -129,7 +128,7 @@ def _count_squared_distances(monkeypatch) -> list:
         calls[0] += 1
         return squared_distances(x)
 
-    for module in (dynamics, profile, monitors):
+    for module in (dynamics, profile):
         monkeypatch.setattr(module, "squared_distances", counted)
     return calls
 

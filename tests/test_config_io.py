@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from mixedhk.config import MONITOR_FLAGS
+
 from mixedhk import (
+    Checker,
     ConfigError,
     IntegrityError,
     ModelConfig,
@@ -175,6 +178,31 @@ class TestTrajectoryPersistence:
             assert a.tobytes() == b.tobytes()
         assert back.events == traj.events
         assert back.stop_reason == traj.stop_reason
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_metrics_read_back_equal_the_run(self, tmp_path, fmt):
+        # every subset of the [monitors] flags: the run's step records and
+        # the ones read back are the same dicts
+        rng = np.random.default_rng(37)
+        x, alpha = rng.normal(size=(5, 2)), rng.choice([0.0, 0.4, 0.9], 5)
+        for k in range(2 ** len(MONITOR_FLAGS)):
+            flags = tuple(f for b, f in enumerate(MONITOR_FLAGS) if k >> b & 1)
+            cfg = ModelConfig(initial=x, epsilon=1.2, max_steps=12, monitors=flags,
+                              schedule=StubbornnessSchedule("constant", alpha=alpha))
+            traj = simulate(cfg)
+            back = read_trajectory(write_trajectory(traj, tmp_path / f"m{k}.{fmt}", fmt))
+            assert back.metrics == traj.metrics
+            # a run checked while it is simulated records the same
+            assert simulate(cfg, Checker(cfg.epsilon, hull=k % 2 == 0)).metrics == traj.metrics
+            recorded = bool(set(flags) - {"merge"})
+            assert (traj.metrics is not None) == recorded
+            if recorded:
+                assert len(traj.metrics) == traj.steps == 12
+                assert all(type(m) is dict for m in traj.metrics)
+                assert {type(m["interaction"]) for m in traj.metrics} == (
+                    {bool} if "interaction" in flags else {type(None)})
+                assert {type(m["hull_ok"]) for m in traj.metrics} == (
+                    {bool} if "hull" in flags else {type(None)})
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rewrite_is_byte_identical(self, tmp_path, fmt):

@@ -12,11 +12,11 @@ import mixedhk.monitors as monitors
 import mixedhk.profile as profile
 import mixedhk.wolfe as wolfe
 from mixedhk import (Checker, ModelConfig, NumericalFailure, OpinionState, StubbornnessSchedule,
-                     check_trajectory, compute_step_metrics, simulate, step)
+                     check_trajectory, simulate, step)
 from mixedhk.monitors import HULL_TOL
 from mixedhk.profile import HullBuffer, analyze_state, hull_distance, hull_stacks
 from mixedhk.wolfe import min_norm_distances
-from conftest import oracle_hull_distance, oracle_hull_distances
+from conftest import oracle_hull_distance, oracle_hull_distances, step_record
 
 EPS = 1.0
 
@@ -76,7 +76,7 @@ def _check_step(x: np.ndarray, next_x: np.ndarray, alpha: np.ndarray) -> np.ndar
     want = oracle_hull_distances(x, next_x, now.mask)
     assert np.array_equal(_bits(_kernel_distances(now, next_x)), _bits(want))
     strays = int(np.count_nonzero(want > HULL_TOL))
-    assert compute_step_metrics(state, nxt, alpha, hull=True).hull_ok is (strays == 0)
+    assert step_record(state, nxt, alpha, hull=True)["hull_ok"] is (strays == 0)
     checker = Checker(EPS)
     checker.push(alpha, now, analyze_state(nxt, now))
     assert checker.violations["hull"] == strays
@@ -238,7 +238,7 @@ def test_non_convergence_surfaces_where_the_per_agent_route_raised(monkeypatch, 
     assert [i for _, i, _ in failing] == sorted([triangle, square])
     alpha = np.zeros(8)
     with pytest.raises(NumericalFailure) as raised:
-        compute_step_metrics(state, nxt, alpha, hull=True)
+        step_record(state, nxt, alpha, hull=True)
     assert (raised.value.best, raised.value.gap) == (best, gap)
     checker = Checker(EPS)
     checker.push(alpha, now, analyze_state(nxt, now))  # buffered, not yet solved
@@ -342,8 +342,8 @@ def test_checker_raises_for_the_first_failing_step_and_agent(monkeypatch):
     assert (raised.value.best, raised.value.gap) == (best, gap)
     t = first[0]
     with pytest.raises(NumericalFailure) as raised:
-        compute_step_metrics(OpinionState(t, steps[t][0], EPS), OpinionState(t + 1, steps[t][1], EPS),
-                             alphas[t], hull=True)
+        step_record(OpinionState(t, steps[t][0], EPS), OpinionState(t + 1, steps[t][1], EPS),
+                    alphas[t], hull=True)
     assert (raised.value.best, raised.value.gap) == (best, gap)
 
 

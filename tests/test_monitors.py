@@ -4,30 +4,24 @@ import numpy as np
 import pytest
 
 from mixedhk import (
+    Checker,
     ModelConfig,
     OpinionState,
     StubbornnessSchedule,
+    Trajectory,
     check_trajectory,
-    components_interact,
-    compute_step_metrics,
     consensus_envelope_check,
-    contraction_check,
     contraction_coefficient,
     diameter,
-    displacement_floor_check,
-    energy,
-    energy_drop_bound,
-    first_interaction_times,
     interaction_equivalence,
-    movement_budget_terms,
     settling_bounds,
-    settling_time,
     simulate,
     step,
 )
 import mixedhk.monitors as monitors
 from mixedhk.profile import analyze_state
-from conftest import oracle_interaction_times, random_alpha, random_opinions
+from conftest import (floor_verdict, oracle_interaction_times, oracle_movement_budget,
+                      random_alpha, random_opinions, step_record)
 
 
 def example1_pair(eps=1.0):
@@ -37,16 +31,16 @@ def example1_pair(eps=1.0):
 class TestEnergy:
     def test_two_far_agents_capped(self):
         st = OpinionState(0, np.array([[0.0], [2.0]]), 1.0)
-        assert energy(st) == 2.0  # both ordered pairs capped at eps^2 = 1
+        assert analyze_state(st).energy == 2.0  # both ordered pairs capped at eps^2 = 1
 
     def test_all_equal_zero(self):
         st = OpinionState(0, np.zeros((5, 3)), 1.0)
-        assert energy(st) == 0.0
+        assert analyze_state(st).energy == 0.0
 
     def test_boundary_cap_binds_exactly(self):
         eps = 1.0
         st = OpinionState(0, np.array([[0.0], [eps]]), eps)
-        assert energy(st) == 2.0 * eps**2
+        assert analyze_state(st).energy == 2.0 * eps**2
 
     def test_energy_cap_invariant(self):
         rng = np.random.default_rng(61)
@@ -54,7 +48,7 @@ class TestEnergy:
             n = int(rng.integers(1, 10))
             st = OpinionState(0, random_opinions(rng, n, 2, scale=5.0),
                               float(rng.uniform(0.1, 2.0)))
-            z = energy(st)
+            z = analyze_state(st).energy
             assert 0.0 <= z <= n**2 * st.epsilon**2
 
 
@@ -62,21 +56,23 @@ class TestEnergyDropBound:
     def test_all_stubborn_zero(self):
         st = OpinionState(0, np.array([[0.0], [0.5]]), 1.0)
         nxt = step(st, np.ones(2))
-        assert energy_drop_bound(st, nxt, np.ones(2)) == 0.0
+        assert step_record(st, nxt, np.ones(2))["energy_drop_bound"] == 0.0
 
     def test_synchronous_coefficient_reduces_to_four(self):
         rng = np.random.default_rng(67)
         st = OpinionState(0, random_opinions(rng, 5, 2), 1.0)
         nxt = step(st, np.zeros(5))
         disp = ((nxt.x - st.x) ** 2).sum()
-        assert energy_drop_bound(st, nxt, np.zeros(5)) == pytest.approx(4.0 * disp, rel=1e-15)
+        bound = step_record(st, nxt, np.zeros(5))["energy_drop_bound"]
+        assert bound == pytest.approx(4.0 * disp, rel=1e-15)
 
     def test_half_stubborn_pair_attains_equality(self):
         st = example1_pair()
         alpha = np.array([0.5, 0.5])
         nxt = step(st, alpha)
-        drop = energy(st) - energy(nxt)
-        bound = energy_drop_bound(st, nxt, alpha)
+        record = step_record(st, nxt, alpha)
+        drop, bound = record["energy_drop"], record["energy_drop_bound"]
+        assert drop == analyze_state(st).energy - analyze_state(nxt).energy
         assert drop == pytest.approx(1.5, abs=1e-15)
         assert abs(drop - bound) <= 1e-12
 
@@ -88,9 +84,10 @@ class TestEnergyDropBound:
             st = OpinionState(0, random_opinions(rng, n, d), float(rng.uniform(0.2, 2.0)))
             alpha = random_alpha(rng, n)
             nxt = step(st, alpha)
-            drop = energy(st) - energy(nxt)
-            bound = energy_drop_bound(st, nxt, alpha)
+            record = step_record(st, nxt, alpha)
+            drop, bound = record["energy_drop"], record["energy_drop_bound"]
             assert drop >= bound - 1e-9 * n**2 * st.epsilon**2
+            assert record["energy_ok"]
 
 
 class TestContractionCoefficient:
@@ -126,31 +123,32 @@ class TestContractionCheck:
     def test_half_stubborn_pair_tight(self):
         st = example1_pair()
         nxt = step(st, np.array([0.5, 0.5]))
-        verdict = contraction_check(st, nxt, np.array([0.5, 0.5]))
-        assert verdict.applicable and verdict.contraction_ok and verdict.nonexpansion_ok
-        assert verdict.coefficient == 0.5
-        assert verdict.diam_after == 0.5 * verdict.diam_before  # equality attained
+        record = step_record(st, nxt, np.array([0.5, 0.5]))
+        assert record["epsilon_trivial"] and record["contraction_ok"] and record["nonexpansion_ok"]
+        assert record["contraction_coeff"] == 0.5
+        assert diameter(nxt.x) == 0.5 * record["diam_global"]  # equality attained
 
     def test_synchronous_one_step_consensus(self):
         rng = np.random.default_rng(79)
         x = random_opinions(rng, 6, 2, scale=0.1)
         st = OpinionState(0, x, 1.0)  # complete profile
         nxt = step(st, np.zeros(6))
-        verdict = contraction_check(st, nxt, np.zeros(6))
-        assert verdict.coefficient == 0.0
-        assert verdict.diam_after == 0.0
+        record = step_record(st, nxt, np.zeros(6))
+        assert record["contraction_coeff"] == 0.0
+        assert diameter(nxt.x) == 0.0
 
     def test_all_stubborn_unchanged(self):
         st = example1_pair()
         nxt = step(st, np.ones(2))
-        verdict = contraction_check(st, nxt, np.ones(2))
-        assert verdict.contraction_ok and verdict.diam_after == verdict.diam_before
+        record = step_record(st, nxt, np.ones(2))
+        assert record["contraction_ok"] and diameter(nxt.x) == record["diam_global"]
 
     def test_not_applicable_beyond_epsilon(self):
         st = OpinionState(0, np.array([[0.0], [5.0]]), 1.0)
         nxt = step(st, np.zeros(2))
-        verdict = contraction_check(st, nxt, np.zeros(2))
-        assert not verdict.applicable and verdict.nonexpansion_ok
+        record = step_record(st, nxt, np.zeros(2))
+        assert not record["epsilon_trivial"] and record["nonexpansion_ok"]
+        assert record["contraction_ok"] is None and record["contraction_coeff"] is None
 
     def test_epsilon_trivial_sweep(self):
         rng = np.random.default_rng(83)
@@ -165,8 +163,9 @@ class TestContractionCheck:
             st = OpinionState(0, x, eps)
             alpha = random_alpha(rng, n)
             nxt = step(st, alpha)
-            verdict = contraction_check(st, nxt, alpha)
-            assert verdict.applicable and verdict.contraction_ok and verdict.nonexpansion_ok
+            record = step_record(st, nxt, alpha)
+            assert record["epsilon_trivial"] and record["contraction_ok"]
+            assert record["nonexpansion_ok"]
 
     def test_nonexpansion_arbitrary_sweep(self):
         rng = np.random.default_rng(89)
@@ -214,30 +213,33 @@ class TestMovementBudget:
         cfg = ModelConfig(initial=np.array([[0.0], [10.0]]), epsilon=1.0,
                           schedule=StubbornnessSchedule("synchronous"), max_steps=5)
         traj = simulate(cfg)
-        budget = movement_budget_terms(traj, 0)
-        assert all(t == 0.0 for t in budget.terms)
-        assert budget.violations == 0
+        terms, _, _, _ = oracle_movement_budget(traj, 0)
+        assert all(t == 0.0 for t in terms)
+        report = check_trajectory(traj, hull=False)
+        assert report["partial_sums"][0] == 0.0
+        assert report["violations"]["movement_bound"] == 0
 
     def test_fully_stubborn_agent(self):
         cfg = ModelConfig(initial=np.array([[0.0], [0.5]]), epsilon=1.0,
                           schedule=StubbornnessSchedule("constant", alpha=np.array([1.0, 0.0])),
                           max_steps=5, consensus_tol=1e-300)
         traj = simulate(cfg)
-        budget = movement_budget_terms(traj, 0)
-        assert all(t == 0.0 for t in budget.terms)
-        assert budget.violations == 0
+        terms, _, _, _ = oracle_movement_budget(traj, 0)
+        assert all(t == 0.0 for t in terms)
+        report = check_trajectory(traj, hull=False)
+        assert report["partial_sums"][0] == 0.0
+        assert report["violations"]["movement_bound"] == 0
 
     def test_power_law_partial_sums_bounded(self):
         rng = np.random.default_rng(97)
         cfg = ModelConfig(initial=random_opinions(rng, 8, 2), epsilon=0.6,
                           schedule=StubbornnessSchedule("power_law", exponent=2.0),
                           max_steps=300, consensus_tol=1e-300)
-        traj = simulate(cfg)
+        report = check_trajectory(simulate(cfg), hull=False)
         cap = cfg.epsilon * np.pi**2 / 6.0 + 1e-9
-        for i in range(8):
-            budget = movement_budget_terms(traj, i)
-            assert budget.violations == 0
-            assert budget.partial_sums[-1] <= cap
+        assert report["violations"]["movement_bound"] == 0
+        assert len(report["partial_sums"]) == 8
+        assert all(s <= cap for s in report["partial_sums"])
 
     def test_frozen_cliques_budgets_and_stability(self):
         # isolated cliques merge at the first (fully open-minded) step; each
@@ -252,10 +254,9 @@ class TestMovementBudget:
         traj = simulate(cfg)
         assert traj.stop_reason == "consensus" and traj.steps == 1
         assert max(analyze_state(traj.state_at(1)).component_diameters) == 0.0
-        for i in range(9):
-            budget = movement_budget_terms(traj, i)
-            assert budget.violations == 0
-            assert budget.terms[0] > 0.0
+        report = check_trajectory(traj, hull=False)
+        assert report["violations"]["movement_bound"] == 0
+        assert all(s > 0.0 for s in report["partial_sums"])  # one term each
 
     def test_powerlaw_tail_vanishes_on_long_run(self):
         # a chain that never merges exactly: movement terms decay like 1/t^2,
@@ -265,13 +266,16 @@ class TestMovementBudget:
         cfg = ModelConfig(initial=x, epsilon=0.5,
                           schedule=StubbornnessSchedule("power_law", exponent=2.0),
                           max_steps=50000, consensus_tol=1e-300, monitors=())
-        traj = simulate(cfg)
+        checker = Checker(cfg.epsilon, hull=False)
+        traj = simulate(cfg, checker)
         assert traj.steps == 50000
+        assert checker.report(traj)["violations"]["movement_bound"] == 0
         assert np.abs(traj.states[-1] - traj.states[-101]).max() <= 1e-8
-        for i in range(4):
-            budget = movement_budget_terms(traj, i)
-            assert budget.violations == 0
-            assert budget.partial_sums[-1] - budget.partial_sums[-101] <= 1e-7
+        # the budgets of the last 100 steps alone
+        tail = Trajectory(n=4, d=2, epsilon=cfg.epsilon, schedule=traj.schedule, seed=0,
+                          states=traj.states[-101:], alphas=traj.alphas[-100:],
+                          stop_reason="horizon")
+        assert all(s <= 1e-7 for s in check_trajectory(tail, hull=False)["partial_sums"])
 
 
 class TestDisplacementFloor:
@@ -279,7 +283,7 @@ class TestDisplacementFloor:
         eps = 1.0
         st = OpinionState(0, np.array([[0.0], [eps]]), eps)
         nxt = step(st, np.zeros(2))
-        verdict = displacement_floor_check(st, nxt, np.zeros(2), delta=eps / 2)
+        verdict = floor_verdict(st, nxt, np.zeros(2), delta=eps / 2)
         assert verdict.applicable and verdict.ok
         assert verdict.displacement_sq_sum == pytest.approx(eps**2 / 2.0, abs=1e-15)
         assert verdict.floor == pytest.approx(2.0 * (eps / 2) ** 2 / 2**8, abs=1e-18)
@@ -289,19 +293,19 @@ class TestDisplacementFloor:
         st = OpinionState(0, np.array([[0.0], [eps]]), eps)
         alpha = np.full(2, 0.999999)
         nxt = step(st, alpha)
-        verdict = displacement_floor_check(st, nxt, alpha, delta=eps / 2)
+        verdict = floor_verdict(st, nxt, alpha, delta=eps / 2)
         assert verdict.applicable and verdict.ok
 
     def test_alpha_one_not_applicable(self):
         st = OpinionState(0, np.array([[0.0], [1.0]]), 1.0)
         nxt = step(st, np.ones(2))
-        verdict = displacement_floor_check(st, nxt, np.ones(2), delta=0.5)
+        verdict = floor_verdict(st, nxt, np.ones(2), delta=0.5)
         assert not verdict.applicable and verdict.reason == "some alpha_i = 1"
 
     def test_trivial_components_not_applicable(self):
         st = OpinionState(0, np.array([[0.0], [5.0]]), 1.0)
         nxt = step(st, np.zeros(2))
-        verdict = displacement_floor_check(st, nxt, np.zeros(2), delta=0.5)
+        verdict = floor_verdict(st, nxt, np.zeros(2), delta=0.5)
         assert not verdict.applicable
         assert verdict.reason == "every component delta-trivial"
 
@@ -314,7 +318,7 @@ class TestDisplacementFloor:
             alpha = rng.uniform(0.0, 0.95, size=n)
             delta = st.epsilon / 4.0
             nxt = step(st, alpha)
-            verdict = displacement_floor_check(st, nxt, alpha, delta)
+            verdict = floor_verdict(st, nxt, alpha, delta)
             if verdict.applicable:
                 applicable += 1
                 assert verdict.ok
@@ -325,19 +329,19 @@ class TestSettling:
     def test_isolated_agents_settle_at_zero(self):
         cfg = ModelConfig(initial=np.array([[0.0], [9.0]]), epsilon=1.0,
                           schedule=StubbornnessSchedule("synchronous"), max_steps=5)
-        assert settling_time(simulate(cfg), 1e-6) == 0
+        assert check_trajectory(simulate(cfg), 1e-6, hull=False)["tau_delta"] == 0
 
     def test_gap_halving_settles_at_two(self):
         cfg = ModelConfig(initial=np.array([[-0.5], [0.5]]), epsilon=1.0,
                           schedule=StubbornnessSchedule("constant", alpha=np.full(2, 0.5)),
                           max_steps=20, consensus_tol=1e-300)
-        assert settling_time(simulate(cfg), 0.25) == 2
+        assert check_trajectory(simulate(cfg), 0.25, hull=False)["tau_delta"] == 2
 
     def test_synchronous_complete_settles_at_one(self):
         rng = np.random.default_rng(107)
         cfg = ModelConfig(initial=random_opinions(rng, 5, 2, scale=0.3), epsilon=1.0,
                           schedule=StubbornnessSchedule("synchronous"), max_steps=5)
-        assert settling_time(simulate(cfg), 1e-9) == 1
+        assert check_trajectory(simulate(cfg), 1e-9, hull=False)["tau_delta"] == 1
 
     def test_bounds_formulas(self):
         tau_bound, interaction_bound = settling_bounds(3, 1.0, 0.25, 0.5)
@@ -439,13 +443,13 @@ class TestFirstInteractionTimes:
                           schedule=StubbornnessSchedule("synchronous"), max_steps=4,
                           consensus_tol=1e-300)
         traj = simulate(cfg)
-        times = first_interaction_times(traj)
+        times = check_trajectory(traj, hull=False)["interaction_times"]
         assert times and all(0 <= t < traj.steps for t in times)
 
     def test_quiet_run_empty(self):
         cfg = ModelConfig(initial=np.array([[0.0], [9.0]]), epsilon=1.0,
                           schedule=StubbornnessSchedule("synchronous"), max_steps=3)
-        assert first_interaction_times(simulate(cfg)) == []
+        assert check_trajectory(simulate(cfg), hull=False)["interaction_times"] == []
 
 
 class TestStepMetrics:
@@ -453,22 +457,24 @@ class TestStepMetrics:
         x = np.array([[0.0, 0.0], [0.999, 0.12], [0.999, -0.12]])
         st = OpinionState(0, x, 1.0)
         nxt = step(st, np.zeros(3))
-        m = compute_step_metrics(st, nxt, np.zeros(3), interaction=True)
-        assert m.interaction is True
-        assert components_interact(st, nxt)
-        assert m.energy_ok and m.nonexpansion_ok
-        assert m.energy_drop == m.energy - m.energy_next
-        assert len(m.diam_per_component) == 2
-        assert len(m.displacement_sq) == 3
-        record = m.as_record()
-        assert record["t"] == 0 and record["interaction"] is True
+        record = step_record(st, nxt, np.zeros(3), interaction=True)
+        assert record["interaction"] is True
+        assert record["energy_ok"] and record["nonexpansion_ok"]
+        assert record["energy_drop"] == record["energy"] - record["energy_next"]
+        assert len(record["diam_per_component"]) == 2
+        assert len(record["displacement_sq"]) == 3
+        assert record["t"] == 0
+        # the checker records the interaction of every step it is pushed
+        checker = Checker(st.epsilon)
+        now = analyze_state(st)
+        assert checker.push(np.zeros(3), now, analyze_state(nxt, now)) == record
 
     def test_energy_slack_scales_with_problem(self):
         st = OpinionState(0, np.array([[0.0], [0.5]]), 1.0)
         nxt = step(st, np.array([0.25, 0.75]))
-        m = compute_step_metrics(st, nxt, np.array([0.25, 0.75]))
-        assert m.interaction is None and m.hull_ok is None
-        assert m.energy_drop >= m.energy_drop_bound - 1e-9 * 4 * 1.0
+        record = step_record(st, nxt, np.array([0.25, 0.75]))
+        assert record["interaction"] is None and record["hull_ok"] is None
+        assert record["energy_drop"] >= record["energy_drop_bound"] - 1e-9 * 4 * 1.0
 
     def test_hull_flag_records_containment(self):
         rng = np.random.default_rng(131)
@@ -476,7 +482,7 @@ class TestStepMetrics:
                           schedule=StubbornnessSchedule("synchronous"),
                           max_steps=10, monitors=("hull",))
         traj = simulate(cfg)
-        assert traj.metrics and all(m.hull_ok for m in traj.metrics)
+        assert traj.metrics and all(m["hull_ok"] is True for m in traj.metrics)
 
 
 class TestCheckTrajectory:
@@ -507,7 +513,7 @@ class TestCheckTrajectory:
                                   "constant", alpha=rng.uniform(0, 0.9, size=n)),
                               max_steps=50, seed=int(rng.integers(2**32)))
             traj = simulate(cfg)
-            z0 = energy(traj.state_at(0))
+            z0 = analyze_state(traj.state_at(0)).energy
             total_disp = sum(
                 float(((traj.states[t + 1] - traj.states[t]) ** 2).sum())
                 for t in range(traj.steps)

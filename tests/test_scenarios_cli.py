@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from mixedhk import SCENARIOS, batch_run, config_to_text, parse_config_text, run_scenario
+from mixedhk import (SCENARIOS, batch_run, check_trajectory, config_to_text, parse_config_text,
+                     read_trajectory, run_scenario, simulate, write_trajectory)
 from mixedhk.cli import build_parser, main
 from mixedhk.scenarios import Scenario
 
@@ -35,6 +36,23 @@ class TestScenarios:
     def test_unknown_scenario(self):
         with pytest.raises(KeyError):
             run_scenario("nope")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_checks_hold_on_a_read_back_trajectory(self, tmp_path, fmt):
+        # the checks read the run's step records and events; a copy written
+        # and read back holds the same records, so every check gives the
+        # same verdict, expectation and observation
+        for name in SCENARIOS:
+            scenario: Scenario = SCENARIOS[name]()
+            traj = simulate(scenario.config)
+            back = read_trajectory(write_trajectory(traj, tmp_path / f"{name}.{fmt}", fmt))
+            assert back.metrics == traj.metrics
+            report = check_trajectory(back, hull=False) if scenario.checked else None
+            got = [check.fn(back, report) for check in scenario.checks]
+            want = [(a["passed"], a["expected"], a["observed"])
+                    for a in run_scenario(name)["assertions"]]
+            assert [(bool(p), e, o) for p, e, o in got] == want
+            assert all(p for p, _, _ in want)
 
 
 @pytest.fixture

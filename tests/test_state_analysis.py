@@ -22,18 +22,12 @@ from mixedhk import (
     batch_run,
     build_profile,
     check_trajectory,
-    compute_step_metrics,
     consensus_envelope_check,
-    contraction_check,
     detect_merge_events,
     diameter,
-    energy_drop_bound,
-    first_interaction_times,
     interaction_equivalence,
-    movement_budget_terms,
     neighbor_matrix,
     read_trajectory,
-    settling_time,
     simulate,
     step,
 )
@@ -42,6 +36,8 @@ from mixedhk.profile import analyze_state, neighbor_spread, opinions_equal
 from conftest import (
     all_graphs,
     oracle_consensus_envelope_check,
+    oracle_contraction,
+    oracle_energy_drop_bound,
     oracle_first_interaction_times,
     oracle_interaction_equivalence,
     oracle_merge_events,
@@ -51,6 +47,7 @@ from conftest import (
     oracle_profile,
     oracle_settling_time,
     random_alpha,
+    step_record,
 )
 
 DIMS = (1, 2, 3, 8, 9)
@@ -116,26 +113,30 @@ def test_analysis_and_merges_match_the_oracles(kind, d):
     assert got == oracle_merge_events(traj.states)
 
 
+def _oracle_budgets(traj) -> tuple[list, int]:
+    """Every agent's last partial sum and the violation count, agent by agent."""
+    budgets = [oracle_movement_budget(traj, agent) for agent in range(traj.n)]
+    return ([sums[-1] if sums else 0.0 for _, sums, _, _ in budgets],
+            sum(violations for *_, violations in budgets))
+
+
 @pytest.mark.parametrize("d", DIMS)
 @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
 def test_movement_budgets_match_the_per_agent_arithmetic(kind, d, monkeypatch):
     traj = _trajectory(kind, d, seed=7 + 1000 * d + SCHEDULE_KINDS.index(kind))
-    for agent in range(traj.n):
-        budget = movement_budget_terms(traj, agent)
-        terms, sums, ok, violations = oracle_movement_budget(traj, agent)
-        assert _bits(budget.terms) == _bits(terms)
-        assert _bits(budget.partial_sums) == _bits(sums)
-        assert (budget.bound_ok, budget.violations) == (ok, violations)
+    budgets = [oracle_movement_budget(traj, agent) for agent in range(traj.n)]
+    # each prefix's report holds every agent's partial sum and the violations
+    # up to its last step, so the reports of all prefixes pin every term
+    for steps in range(traj.steps + 1):
+        prefix = replace(traj, states=traj.states[:steps + 1], alphas=traj.alphas[:steps])
+        report = check_trajectory(prefix, hull=False)
+        assert _bits(report["partial_sums"]) == _bits(
+            [sums[steps - 1] if steps else 0.0 for _, sums, _, _ in budgets])
+        assert report["violations"]["movement_bound"] == sum(
+            ok[:steps].count(False) for _, _, ok, _ in budgets)
     report = json.dumps(check_trajectory(traj, hull=False))
-
-    def per_agent(traj, agents, degrees, spread):
-        out = []
-        for agent in agents:
-            terms, sums, ok, violations = oracle_movement_budget(traj, agent)
-            out.append(monitors.MovementBudget(agent, terms, sums, ok, violations))
-        return out
-
-    monkeypatch.setattr(monitors, "_movement_budgets", per_agent)
+    monkeypatch.setattr(monitors, "_movement_budgets",
+                        lambda traj, degrees, spread: _oracle_budgets(traj))
     assert json.dumps(check_trajectory(traj, hull=False)) == report
 
 
@@ -159,8 +160,9 @@ def _trajectory_monitors(traj, delta: float, beta_cap: float, *, oracle: bool) -
         routes = (oracle_settling_time, oracle_first_interaction_times,
                   oracle_interaction_equivalence, oracle_consensus_envelope_check)
     else:
-        routes = (settling_time, first_interaction_times, interaction_equivalence,
-                  consensus_envelope_check)
+        routes = (lambda traj, tol: check_trajectory(traj, tol, hull=False)["tau_delta"],
+                  lambda traj: check_trajectory(traj, hull=False)["interaction_times"],
+                  interaction_equivalence, consensus_envelope_check)
     settle, first, equivalence, envelope = routes
     eps = traj.epsilon
     return json.dumps([[settle(traj, tol) for tol in (delta, eps / 2.0, 2.0 * eps)],
@@ -189,7 +191,7 @@ def test_trajectory_monitors_match_the_per_state_routes(kind):
                 assert got == _trajectory_monitors(case, delta, beta_cap, oracle=True)
             seen["equivalence_steps"] += len(interaction_equivalence(case, eps / 4.0)["steps"])
             seen["envelopes"] += consensus_envelope_check(case, 0.5)["applicable"]
-            seen["settled"] += settling_time(case, eps / 4.0) is not None
+            seen["settled"] += check_trajectory(case, hull=False)["tau_delta"] is not None
     assert all(seen.values()), seen
 
 
@@ -215,8 +217,8 @@ def test_trajectory_monitors_reject_a_file_without_states(tmp_path):
     traj = read_trajectory(path)
     assert traj.states == []
     monitors_of_a_trajectory = (
-        check_trajectory, first_interaction_times, lambda t: settling_time(t, 0.25),
-        lambda t: interaction_equivalence(t, 0.25), lambda t: consensus_envelope_check(t, 0.5))
+        check_trajectory, lambda t: interaction_equivalence(t, 0.25),
+        lambda t: consensus_envelope_check(t, 0.5))
     for monitor in monitors_of_a_trajectory:
         with pytest.raises(IntegrityError, match="no states"):
             monitor(traj)
@@ -244,20 +246,20 @@ def _same_analysis(got, want) -> bool:
 
 @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
 def test_single_step_monitors_match_the_step_records(kind):
-    # energy_drop_bound and contraction_check read neighbor_matrix and
-    # diameter, not an analysis; their values keep the step record's bits
+    # the oracles read neighbor_matrix and diameter, not an analysis; their
+    # values keep the step record's bits
     for d in DIMS:
         traj = _trajectory(kind, d, seed=307 + 1000 * d + SCHEDULE_KINDS.index(kind))
         for t in range(traj.steps):
             now, nxt, alpha = traj.state_at(t), traj.state_at(t + 1), traj.alphas[t]
-            m = compute_step_metrics(now, nxt, alpha)
-            cv = contraction_check(now, nxt, alpha)
-            assert _bits(energy_drop_bound(now, nxt, alpha)) == _bits(m.energy_drop_bound)
-            assert (_bits([cv.diam_before, cv.diam_after])
-                    == _bits([m.diam_global, analyze_state(nxt).diameter]))
-            assert ((cv.applicable, cv.contraction_ok, cv.nonexpansion_ok, cv.coefficient)
-                    == (m.epsilon_trivial, m.contraction_ok, m.nonexpansion_ok,
-                        m.contraction_coeff))
+            m = step_record(now, nxt, alpha)
+            trivial, contraction_ok, nonexpansion_ok, coeff, before, after = \
+                oracle_contraction(now, nxt, alpha)
+            assert _bits(oracle_energy_drop_bound(now, nxt, alpha)) == _bits(m["energy_drop_bound"])
+            assert _bits([before, after]) == _bits([m["diam_global"], analyze_state(nxt).diameter])
+            assert ((trivial, contraction_ok, nonexpansion_ok, coeff)
+                    == (m["epsilon_trivial"], m["contraction_ok"], m["nonexpansion_ok"],
+                        m["contraction_coeff"]))
 
 
 @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
@@ -296,7 +298,7 @@ def test_analysis_relabels_a_changed_mask_with_equal_degrees():
     assert _same_analysis(analyze_state(moved, got), analyze_state(moved))
 
 
-def test_budgets_of_stubborn_agents_with_a_large_spread(monkeypatch):
+def test_budgets_of_stubborn_agents_with_a_large_spread():
     # agents 0-2 are absolutely stubborn at the middle and the ends of a wide
     # cluster: their spread is large, but their budget terms stay +0.0
     x = np.array([[0.0], [-0.9], [0.9], [-0.6], [0.6], [-0.3], [0.3], [5.0]])
@@ -304,24 +306,12 @@ def test_budgets_of_stubborn_agents_with_a_large_spread(monkeypatch):
     cfg = ModelConfig(x, 1.0, StubbornnessSchedule("constant", alpha=alpha), 30,
                       consensus_tol=1e-300)
     traj = simulate(cfg)
-    budgets = []
-    real = monitors._movement_budgets
-
-    def keep(*args):
-        budgets.extend(real(*args))
-        return budgets
-
-    monkeypatch.setattr(monitors, "_movement_budgets", keep)
     report = check_trajectory(traj, hull=False)
-    assert [b.agent for b in budgets] == list(range(traj.n))
-    partial = []
-    for budget in budgets:
-        terms, sums, ok, violations = oracle_movement_budget(traj, budget.agent)
-        assert _bits(budget.terms) == _bits(terms)
-        assert _bits(budget.partial_sums) == _bits(sums)
-        assert (budget.bound_ok, budget.violations) == (ok, violations)
-        partial.append(sums[-1])
+    partial, violations = _oracle_budgets(traj)
+    for agent in range(3):
+        assert _bits(oracle_movement_budget(traj, agent)[0]) == _bits([0.0] * traj.steps)
     assert _bits(report["partial_sums"]) == _bits(partial)
+    assert report["violations"]["movement_bound"] == violations
     assert _bits(partial[:3]) == _bits([0.0] * 3)
     spread0 = np.abs(traj.states[0][3:7] - traj.states[0][0]).max()
     assert spread0 > 0.5
