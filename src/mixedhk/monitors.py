@@ -338,7 +338,10 @@ class Checker:
 
     def push(self, alpha: np.ndarray, now: StateAnalysis, nxt: StateAnalysis) -> dict:
         """Verify the step from the state analysed by ``now`` to the one
-        analysed by ``nxt`` under ``alpha``; returns the step's record."""
+        analysed by ``nxt`` under ``alpha``; returns the step's record.
+
+        The returned record is the one the report's ``per_step`` holds:
+        read it, do not change it."""
         if self._last is None:
             self._diameters.append(now.component_diameters)
         record = _step_record(alpha, now, nxt, interaction=True, hull=False)

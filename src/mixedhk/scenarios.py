@@ -9,7 +9,7 @@ instantiated, the expected outcome, and what the run produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -25,7 +25,7 @@ from .trajectory import Trajectory
 class Check:
     label: str
     claim: str
-    fn: Callable  # (Trajectory, check report or None) -> (passed, expected, observed)
+    fn: Callable  # (Trajectory, check report) -> (passed, expected, observed)
 
 
 @dataclass
@@ -34,22 +34,23 @@ class Scenario:
     description: str
     config: ModelConfig
     checks: list
-    checked: bool = False  # simulate with a Checker (no hull) and hand its report to the checks
 
 
 def run_scenario(name: str) -> dict:
     """Run a built-in scenario and evaluate its assertions.
 
     Returns a JSON-ready report with one record per assertion; ``passed`` is
-    the conjunction. A checked scenario is verified while it is simulated,
-    and each of its checks reads that one report.
+    the conjunction. The run is checked (without the hull check) while it
+    is simulated, and each assertion reads the run and that one report:
+    its step records, merge events, violations and movement budgets.
     """
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
     scenario = SCENARIOS[name]()
-    checker = Checker(scenario.config.epsilon, hull=False) if scenario.checked else None
-    traj = simulate(scenario.config, checker)
-    report = checker.report(traj) if checker is not None else None
+    checker = Checker(scenario.config.epsilon, hull=False)
+    # the checker verifies each step as it is made, so simulate records nothing
+    traj = simulate(replace(scenario.config, monitors=()), checker)
+    report = checker.report(traj)
     records = []
     all_ok = True
     for check in scenario.checks:
@@ -122,12 +123,13 @@ def _example2() -> Scenario:
         monitors=("energy", "contraction", "merge"),
     )
 
-    def merge_then_depart(traj: Trajectory, _report):
-        hit = [e for e in traj.events
+    def merge_then_depart(traj: Trajectory, report: dict):
+        events = report["merge_events"]
+        hit = [e for e in events
                if e["type"] == "merge" and e["t"] == 1 and {e["i"], e["j"]} == {0, 1}]
         ok = bool(hit) and hit[0]["departed"]
         return ok, "agents 0 and 1 merge at t=1 and depart at t=2", \
-            f"events={traj.events}"
+            f"events={events}"
 
     def departure_coordinates(traj: Trajectory, _report):
         # direct evaluation: at t=1 all three sit within epsilon, so both
@@ -215,8 +217,9 @@ def _sync_hk() -> Scenario:
         return ok, "run freezes or collapses within 500 steps", \
             f"stop_reason={traj.stop_reason} after {traj.steps} steps"
 
-    def monitors_clean(traj: Trajectory, _report):
-        bad = [m["t"] for m in traj.metrics if not (m["energy_ok"] and m["nonexpansion_ok"])]
+    def monitors_clean(traj: Trajectory, report: dict):
+        bad = [m["t"] for m in report["per_step"]
+               if not (m["energy_ok"] and m["nonexpansion_ok"])]
         return not bad, "no energy-descent or diameter-expansion violations", \
             f"violating steps: {bad}"
 
@@ -254,8 +257,8 @@ def _async_hk() -> Scenario:
                     f"step {t} changed agents {moved}"
         return True, "exactly one opinion changes per step", "held at every step"
 
-    def energy_clean(traj: Trajectory, _report):
-        bad = [m["t"] for m in traj.metrics if not m["energy_ok"]]
+    def energy_clean(traj: Trajectory, report: dict):
+        bad = [m["t"] for m in report["per_step"] if not m["energy_ok"]]
         return not bad, "energy descent bound holds with stubbornness exactly 1",\
             f"violating steps: {bad}"
 
@@ -313,7 +316,6 @@ def _powerlaw_a2() -> Scenario:
                "saturates", late_steps_small),
          Check("summable-budget", "partial sums stay under the closed-form cap",
                budget_convergent)],
-        checked=True,
     )
 
 

@@ -39,15 +39,11 @@ def simulate(config: ModelConfig, checker: Optional[Checker] = None) -> Trajecto
         next_analysis = analyze_state(nxt, analysis)
         alphas.append(alpha)
         states.append(nxt.x)
-        record = checker.push(alpha, analysis, next_analysis) if checker is not None else None
+        if checker is not None:
+            checker.push(alpha, analysis, next_analysis)
         if metrics is not None:
-            # the checker's record, without the hull check, holds every
-            # value but the interaction flag's
-            if record is None or "hull" in flags:
-                record = _step_record(alpha, analysis, next_analysis,
-                                      interaction="interaction" in flags, hull="hull" in flags)
-            metrics.append(dict(record, interaction=record["interaction"]
-                                if "interaction" in flags else None))
+            metrics.append(_step_record(alpha, analysis, next_analysis,
+                                        interaction="interaction" in flags, hull="hull" in flags))
         if nxt.x.tobytes() == state.x.tobytes():
             stop_reason = "steady"
             break

@@ -39,15 +39,16 @@ class TestScenarios:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_checks_hold_on_a_read_back_trajectory(self, tmp_path, fmt):
-        # the checks read the run's step records and events; a copy written
-        # and read back holds the same records, so every check gives the
-        # same verdict, expectation and observation
+        # the checks read the run and its check report; a copy written and
+        # read back holds the same states and step records and checks to the
+        # same report, so every check gives the same verdict, expectation and
+        # observation
         for name in SCENARIOS:
             scenario: Scenario = SCENARIOS[name]()
             traj = simulate(scenario.config)
             back = read_trajectory(write_trajectory(traj, tmp_path / f"{name}.{fmt}", fmt))
             assert back.metrics == traj.metrics
-            report = check_trajectory(back, hull=False) if scenario.checked else None
+            report = check_trajectory(back, hull=False)
             got = [check.fn(back, report) for check in scenario.checks]
             want = [(a["passed"], a["expected"], a["observed"])
                     for a in run_scenario(name)["assertions"]]
