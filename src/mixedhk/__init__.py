@@ -28,7 +28,6 @@ from .monitors import (
 )
 from .profile import (
     EquilibriumVerdict,
-    MergeEvent,
     Profile,
     build_profile,
     check_delta_equilibrium,
@@ -38,7 +37,6 @@ from .profile import (
 )
 from .simulate import simulate
 from .spectral import (
-    SpectralReport,
     UpdateFactorization,
     check_cheeger,
     cheeger_constant,

@@ -21,10 +21,9 @@ def _one_run(config: ModelConfig, seed: int, delta: Optional[float], hull: bool)
     single_mover_bad = 0
     if cfg.schedule.kind == "asynchronous":
         # rows compared as bits, so a -0.0 that was +0.0 counts as a move
-        single_mover_bad = sum(
-            int(np.count_nonzero((a.view(np.uint64) != b.view(np.uint64)).any(axis=1))) > 1
-            for a, b in zip(traj.states, traj.states[1:])
-        )
+        bits = np.array(traj.states).view(np.uint64)
+        movers = (bits[1:] != bits[:-1]).any(axis=2).sum(axis=1)
+        single_mover_bad = int(np.count_nonzero(movers > 1))
     return {
         "seed": seed,
         "steps": traj.steps,

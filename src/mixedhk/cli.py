@@ -8,7 +8,9 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import sys
 from dataclasses import replace
@@ -85,21 +87,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: dict, out, fmt):
-    """Write a report as JSON (default) or flattened key,value CSV."""
+    """Write a report as JSON (default) or as key,value CSV rows, one per
+    leaf of the flattened report: a list value is written as its JSON text,
+    and a field is quoted where it holds a comma or a quote."""
     if fmt == "csv":
-        lines = ["key,value"]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("key", "value"))
 
         def flatten(prefix, obj):
             if isinstance(obj, dict):
                 for k, v in obj.items():
                     flatten(f"{prefix}.{k}" if prefix else str(k), v)
-            elif isinstance(obj, (list, tuple)):
-                lines.append(f"{prefix},{json.dumps(obj)!r}")
             else:
-                lines.append(f"{prefix},{obj}")
+                writer.writerow((prefix, json.dumps(obj) if isinstance(obj, (list, tuple))
+                                 else str(obj)))
 
         flatten("", report)
-        text = "\n".join(lines) + "\n"
+        text = buf.getvalue()
     else:
         text = json.dumps(report, indent=1, default=str, allow_nan=False) + "\n"
     if out is not None:
@@ -145,7 +150,7 @@ def _cmd_spectral(args) -> int:
                                f"0..{len(traj.states) - 1}")
         state = traj.state_at(args.step)
     profile = build_profile(state)
-    report = check_cheeger(profile).as_json()
+    report = check_cheeger(profile)
     if args.alpha is not None:
         alpha = np.array([float(v) for v in args.alpha.split(",")])
         _check_alpha(alpha)  # a wrong length is reported as skipped below

@@ -34,10 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ModelConfig, StubbornnessSchedule
+from .dynamics import DEFAULT_MONITORS, MONITOR_FLAGS, ModelConfig, StubbornnessSchedule
 from .errors import ConfigError
-
-MONITOR_FLAGS = ("energy", "contraction", "merge", "interaction", "hull")
 
 _TOP_KEYS = {"n", "d", "epsilon", "max_steps", "consensus_tol", "seed"}
 _SCHEDULE_KEYS = {"schedule.kind", "schedule.alpha", "schedule.a", "schedule.seed"}
@@ -211,8 +209,6 @@ def parse_config_text(text: str, path="<config>") -> ModelConfig:
                 raise ConfigError(f"{key} must be true or false, got {value!r}", path, line)
             if value == "true":
                 monitors.append(flag)
-    if not monitors:
-        monitors = ["energy", "contraction", "merge"]
 
     if entries:
         key, (_, line) = next(iter(entries.items()))
@@ -220,7 +216,7 @@ def parse_config_text(text: str, path="<config>") -> ModelConfig:
 
     return ModelConfig(initial=initial, epsilon=epsilon, schedule=schedule,
                        max_steps=max_steps, consensus_tol=consensus_tol,
-                       seed=seed, monitors=tuple(monitors))
+                       seed=seed, monitors=tuple(monitors) or DEFAULT_MONITORS)
 
 
 def parse_config(path) -> ModelConfig:

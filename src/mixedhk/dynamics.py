@@ -48,6 +48,10 @@ import numpy as np
 from .errors import ConfigError, ScheduleExhaustedError
 
 SCHEDULE_KINDS = ("synchronous", "asynchronous", "constant", "power_law", "table")
+# The [monitors] flags, in config-file order, and those a run sets by default.
+# Every flag but merge asks simulate for step records.
+MONITOR_FLAGS = ("energy", "contraction", "merge", "interaction", "hull")
+DEFAULT_MONITORS = ("energy", "contraction", "merge")
 _TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max  # normal float range
 # Byte budget of one row block of squared distances when a neighbor mask is
 # built (about 65 rows at n = 1000): the block stays in cache.
@@ -216,7 +220,7 @@ class ModelConfig:
     max_steps: int
     consensus_tol: float = 1e-12
     seed: int = 0
-    monitors: tuple = ("energy", "contraction", "merge")
+    monitors: tuple = DEFAULT_MONITORS
 
     def __post_init__(self):
         self.initial = np.asarray(self.initial, dtype=np.float64)
@@ -226,10 +230,10 @@ class ModelConfig:
             raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
         if not (self.consensus_tol > 0):
             raise ConfigError(f"consensus_tol must be positive, got {self.consensus_tol}")
-        known = {"energy", "contraction", "merge", "interaction", "hull"}
-        bad = set(self.monitors) - known
+        bad = set(self.monitors) - set(MONITOR_FLAGS)
         if bad:
-            raise ConfigError(f"unknown monitor flags {sorted(bad)}; known: {sorted(known)}")
+            raise ConfigError(f"unknown monitor flags {sorted(bad)}; "
+                              f"known: {sorted(MONITOR_FLAGS)}")
         self.monitors = tuple(self.monitors)
 
     @property

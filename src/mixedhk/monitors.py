@@ -186,10 +186,12 @@ class FloorVerdict:
     reason: str
 
 
-def _floor(alpha: np.ndarray, delta: float, now: StateAnalysis, nxt) -> FloorVerdict:
+def _floor(alpha: np.ndarray, delta: float, now: StateAnalysis, nxt,
+           trivial: bool) -> FloorVerdict:
     """Check sum_i ||x_i(t) - x_i(t+1)||^2 > 2 delta^2 (1 - max alpha)^2 / n^8
     from the analysis of the first state; of ``nxt``, the next state or its
-    analysis, only the opinions are read.
+    analysis, only the opinions are read. ``trivial`` is
+    ``now.components_within(delta)``.
 
     Applicable whenever some component of the current profile is
     delta-nontrivial and every stubbornness entry is below one (restricting
@@ -200,7 +202,7 @@ def _floor(alpha: np.ndarray, delta: float, now: StateAnalysis, nxt) -> FloorVer
     alpha = np.asarray(alpha, dtype=np.float64)
     if np.any(alpha >= 1.0):
         return FloorVerdict(False, None, None, None, "some alpha_i = 1")
-    if now.components_within(delta):
+    if trivial:
         return FloorVerdict(False, None, None, None, "every component delta-trivial")
     lhs = float(((nxt.x - now.x) ** 2).sum())
     floor = 2.0 * delta**2 * (1.0 - float(alpha.max())) ** 2 / now.n**8
@@ -247,19 +249,6 @@ def interaction_equivalence(traj: Trajectory, delta: float) -> dict:
             "interaction_steps": [r["t"] for r in steps if r["interaction"]]}
 
 
-def _equivalence_step(now: StateAnalysis, nxt: StateAnalysis, delta: float) -> Optional[dict]:
-    """interaction_equivalence's record for step t -> t+1, or None when the
-    profile at t has a delta-nontrivial component."""
-    if not now.components_within(delta):
-        return None
-    next_diams = nxt.component_diameters
-    c1 = any(dm > delta for dm in next_diams)
-    c2 = _interact(now, nxt)
-    c3 = any(dm > now.epsilon / 2.0 for dm in next_diams)
-    return {"t": now.t, "next_nontrivial": c1, "interaction": c2,
-            "half_eps_nontrivial": c3, "equivalent": c1 == c2 == c3}
-
-
 def _interaction_times(epsilon: float, comp_cache: list, m_max: int = 64) -> list[int]:
     """Surrogate for the set of first-interaction times, from every recorded
     state's component diameters.
@@ -295,7 +284,7 @@ class Checker:
     only the latest, so with the caller's next one at most two n-by-n masks
     are alive, and its hull buffer holds at most ``HULL_BUFFER_BYTES`` plus
     one step's vertex sets. Besides the violation counters it keeps O(n)
-    values per step: the step's record, the component diameters (for
+    values per step: the step's record (whose component diameters give the
     settling and first-interaction times), the step's equivalence record
     when it has one (``equivalence``, None when delta > epsilon/4) and the
     degrees and neighbor spreads of the step's first state (for movement
@@ -324,7 +313,6 @@ class Checker:
                             "displacement_floor": 0}
         self.equivalence: Optional[list] = [] if self.delta <= epsilon / 4.0 else None
         self._records = []
-        self._diameters = []
         self._degrees, self._spread = [], []
         self._last: Optional[StateAnalysis] = None
         self._hull = HullBuffer()
@@ -342,30 +330,31 @@ class Checker:
 
         The returned record is the one the report's ``per_step`` holds:
         read it, do not change it."""
-        if self._last is None:
-            self._diameters.append(now.component_diameters)
         record = _step_record(alpha, now, nxt, interaction=True, hull=False)
         v = self._violations
         v["energy_descent"] += not record["energy_ok"]
         v["contraction"] += record["contraction_ok"] is False
         v["nonexpansion"] += not record["nonexpansion_ok"]
-        fv = _floor(alpha, self.delta, now, nxt)
+        trivial = now.components_within(self.delta)
+        fv = _floor(alpha, self.delta, now, nxt, trivial)
         v["displacement_floor"] += fv.applicable and not fv.ok
         if self.hull:
             self._hull.add(len(self._records), now, nxt.x)
             if self._hull.nbytes >= HULL_BUFFER_BYTES:
                 v["hull"] += self._hull.count_over(HULL_TOL)
-        if self.equivalence is not None:
-            equivalent = _equivalence_step(now, nxt, self.delta)
-            if equivalent is not None:
-                self.equivalence.append(equivalent)
+        if self.equivalence is not None and trivial:
+            # interaction_equivalence's three conditions; (2) is the record's
+            c1 = any(dm > self.delta for dm in nxt.component_diameters)
+            c2 = record["interaction"]
+            c3 = any(dm > now.epsilon / 2.0 for dm in nxt.component_diameters)
+            self.equivalence.append({"t": now.t, "next_nontrivial": c1, "interaction": c2,
+                                     "half_eps_nontrivial": c3, "equivalent": c1 == c2 == c3})
         self._records.append(record)
         self._degrees.append(now.degrees)
         movable = np.flatnonzero(np.asarray(alpha) < 1.0)
         spread = np.zeros(now.n)
         spread[movable] = neighbor_spread(now.x, now.mask[movable], movable)
         self._spread.append(spread)
-        self._diameters.append(nxt.component_diameters)
         self._last = nxt
         return record
 
@@ -376,17 +365,16 @@ class Checker:
         which every component's diameter is <= delta), each agent's movement
         budget (``partial_sums``), and the first-interaction surrogate
         (``interaction_times``)."""
-        last, diameters = self._last, self._diameters
+        last = self._last
         if last is None:  # a lone state, no transition
             last = analyze_state(traj.state_at(0))
-            diameters = [last.component_diameters]
+        diameters = [r["diam_per_component"] for r in self._records] + [last.component_diameters]
         delta = self.delta
         partial_sums, movement_bound = _movement_budgets(traj, np.array(self._degrees),
                                                          np.array(self._spread))
         violations = dict(self.violations, movement_bound=movement_bound,
                           equivalence=sum(not r["equivalent"] for r in self.equivalence or ()))
-        events = ([e.as_record() for e in detect_merge_events(traj.states)]
-                  if len(traj.states) >= 2 else [])
+        events = detect_merge_events(traj.states) if len(traj.states) >= 2 else []
         sup_a = traj.sup_alpha()
         tau_bound = interaction_bound = None
         if sup_a < 1.0 and delta <= traj.epsilon:

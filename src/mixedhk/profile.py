@@ -3,7 +3,8 @@
 The profile at time t is the undirected graph on agents with an edge wherever
 two opinions are within epsilon of each other. This module builds profiles,
 computes convex-hull diameters and distances, decides delta-triviality and
-delta-equilibrium, and detects merge events along a trajectory.
+delta-equilibrium, and detects merge events along a trajectory, as the event
+dicts that check reports and trajectory sidecars hold.
 
 One ``StateAnalysis`` per state holds everything the monitors read off it:
 the neighbor mask, degrees and component labels, and the component
@@ -68,10 +69,6 @@ class Profile:
         i, j = np.nonzero(np.triu(self.mask, 1))
         return frozenset(zip(i.tolist(), j.tolist()))
 
-    @cached_property
-    def component_ids(self) -> tuple:
-        return tuple(self.labels.tolist())
-
     @property
     def num_components(self) -> int:
         return 1 + int(self.labels.max()) if self.n else 0
@@ -79,7 +76,7 @@ class Profile:
     def components(self) -> list[list[int]]:
         """Agent indices grouped by component, ordered by label."""
         groups = [[] for _ in range(self.num_components)]
-        for i, c in enumerate(self.component_ids):
+        for i, c in enumerate(self.labels.tolist()):
             groups[c].append(i)
         return groups
 
@@ -443,27 +440,17 @@ def opinions_equal(a: np.ndarray, b: np.ndarray, rel: float = 1e-14) -> bool:
     return bool(_equality_matrix(np.stack([a, b]), rel)[0, 1])
 
 
-@dataclass(frozen=True)
-class MergeEvent:
-    t: int
-    i: int
-    j: int
-    departed_later: bool
-
-    def as_record(self) -> dict:
-        return {"type": "merge", "t": self.t, "i": self.i, "j": self.j,
-                "departed": self.departed_later}
-
-
-def detect_merge_events(states: list) -> list[MergeEvent]:
+def detect_merge_events(states: list) -> list[dict]:
     """Find every (t, i, j) where two distinct opinions coincide at t.
 
     ``states`` is a trajectory's list of (n, d) opinion arrays. A pair merges
     at t if it is equal at t (see opinions_equal) and unequal at t-1; the
-    event is flagged if the pair separates again at any later recorded time.
-    One backward pass keeps the pairs found unequal at some later time, so
-    the cost is one n-by-n equality matrix per state. Events come in
-    ascending (t, i, j) order.
+    event is flagged ``departed`` if the pair separates again at any later
+    recorded time. Each event is the dict that check reports and trajectory
+    sidecars hold, ``{"type": "merge", "t", "i", "j", "departed"}``. One
+    backward pass keeps the pairs found unequal at some later time, so the
+    cost is one n-by-n equality matrix per state. Events come in ascending
+    (t, i, j) order.
     """
     if len(states) < 2:
         raise ValueError("merge detection needs a trajectory of length >= 2")
@@ -475,8 +462,8 @@ def detect_merge_events(states: list) -> list[MergeEvent]:
     for t in range(len(states) - 1, 0, -1):
         equal_before = _equality_matrix(states[t - 1])
         i, j = np.nonzero(equal_now & ~equal_before & upper)
-        found.append([MergeEvent(t, a, b, gone) for a, b, gone in
-                      zip(i.tolist(), j.tolist(), unequal_later[i, j].tolist())])
+        found.append([{"type": "merge", "t": t, "i": a, "j": b, "departed": gone}
+                      for a, b, gone in zip(i.tolist(), j.tolist(), unequal_later[i, j].tolist())])
         unequal_later |= ~equal_now
         equal_now = equal_before
     return [event for chunk in reversed(found) for event in chunk]

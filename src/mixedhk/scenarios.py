@@ -84,7 +84,6 @@ def _example1() -> Scenario:
         max_steps=200,
         consensus_tol=1e-300,  # keep the soft stop out of the way
         seed=0,
-        monitors=("energy", "contraction", "merge"),
     )
 
     def no_steady(traj: Trajectory, _report):
@@ -120,7 +119,6 @@ def _example2() -> Scenario:
         max_steps=2,
         consensus_tol=1e-300,
         seed=0,
-        monitors=("energy", "contraction", "merge"),
     )
 
     def merge_then_depart(traj: Trajectory, report: dict):
@@ -167,7 +165,6 @@ def _example3() -> Scenario:
         max_steps=24,
         consensus_tol=1e-300,
         seed=0,
-        monitors=("energy", "contraction", "merge"),
     )
 
     def no_equilibrium(traj: Trajectory, _report):
@@ -209,7 +206,6 @@ def _sync_hk() -> Scenario:
         max_steps=500,
         consensus_tol=1e-12,
         seed=12345,
-        monitors=("energy", "contraction", "merge"),
     )
 
     def terminates(traj: Trajectory, _report):
@@ -244,7 +240,6 @@ def _async_hk() -> Scenario:
         max_steps=100,
         consensus_tol=1e-300,
         seed=777,
-        monitors=("energy", "contraction", "merge"),
     )
 
     def one_mover(traj: Trajectory, _report):

@@ -30,7 +30,7 @@ def simulate(config: ModelConfig, checker: Optional[Checker] = None) -> Trajecto
     states = [state.x]
     alphas: list[np.ndarray] = []
     flags = set(config.monitors)
-    metrics = [] if (flags & {"energy", "contraction", "interaction", "hull"}) else None
+    metrics = [] if flags - {"merge"} else None
     stop_reason = "horizon"
 
     for t in range(config.max_steps):
@@ -64,6 +64,6 @@ def simulate(config: ModelConfig, checker: Optional[Checker] = None) -> Trajecto
         consensus_tol=config.consensus_tol,
         metrics=metrics,
     )
-    if "merge" in config.monitors and len(states) >= 2:
-        traj.events = [e.as_record() for e in detect_merge_events(states)]
+    if "merge" in config.monitors:
+        traj.events = detect_merge_events(states)
     return traj

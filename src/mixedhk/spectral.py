@@ -14,12 +14,14 @@ below one,
 
 and lambda_2(L) is sandwiched by the Cheeger constant, 2 i(G) >= lambda_2 >=
 i(G)^2 / (2 max_degree), which for connected graphs keeps it above 2/n^3.
+``check_cheeger`` and ``lambda2_chain_check`` return their verdicts as the
+JSON-ready dicts that ``mixed-hk spectral`` prints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,62 +202,43 @@ def cheeger_constant(profile: Profile) -> float:
     return float((boundary[valid] / pop[valid]).min())
 
 
-@dataclass
-class SpectralReport:
-    """Laplacian eigensystem plus Cheeger-sandwich verdicts for one profile."""
+def check_cheeger(profile: Profile) -> dict:
+    """Eigen-decompose the Laplacian and verify the Cheeger sandwich; returns
+    the report that ``mixed-hk spectral`` prints before its operator checks.
 
-    laplacian: np.ndarray
-    eigenvalues: np.ndarray
-    lambda2: float | None
-    cheeger: float
-    max_degree: int
-    verdicts: dict
-    notes: list = field(default_factory=list)
-
-    def as_json(self) -> dict:
-        return {
-            "n": int(self.laplacian.shape[0]),
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "lambda2": None if self.lambda2 is None else float(self.lambda2),
-            "cheeger": self.cheeger if np.isfinite(self.cheeger) else None,
-            "max_degree": self.max_degree,
-            "verdicts": dict(self.verdicts),
-            "notes": list(self.notes),
-        }
-
-
-def check_cheeger(profile: Profile) -> SpectralReport:
-    """Eigen-decompose the Laplacian and verify the Cheeger sandwich.
-
-    Verdicts (each with 1e-9 slack): ``cheeger_upper`` 2 i(G) >= lambda_2,
-    ``cheeger_lower`` lambda_2 >= i(G)^2 / (2 max_degree), and
-    ``connectivity_gap`` lambda_2 > 2/n^3 for connected graphs (vacuous for
-    disconnected ones, noted for n in {1, 2} where the chain is boundary).
+    The report holds ``n``, the Laplacian's ascending ``eigenvalues``,
+    ``lambda2`` (None for n = 1), the Cheeger constant ``cheeger`` (None
+    where it is infinite, for n = 1), ``max_degree``, ``verdicts`` and
+    ``notes``. Verdicts (each with 1e-9 slack): ``cheeger_upper``
+    2 i(G) >= lambda_2, ``cheeger_lower`` lambda_2 >= i(G)^2 / (2 max_degree),
+    and ``connectivity_gap`` lambda_2 > 2/n^3 for connected graphs (vacuous
+    for disconnected ones, noted for n in {1, 2} where the chain is boundary).
     """
-    L = laplacian(profile)
-    w = eigvalsh(L)
+    w = eigvalsh(laplacian(profile))
     n = profile.n
-    notes = []
     i_g = cheeger_constant(profile)
     max_deg = int(profile.degrees.max()) - 1
     if n == 1:
+        lam2 = None
         verdicts = {"cheeger_upper": True, "cheeger_lower": True, "connectivity_gap": True}
-        notes.append("n=1: no admissible cut subset; sandwich vacuous")
-        return SpectralReport(L, w, None, i_g, max_deg, verdicts, notes)
-    lam2 = float(w[1])
-    connected = profile.is_connected()
-    upper = 2.0 * i_g >= lam2 - 1e-9
-    lower = lam2 >= (i_g * i_g) / (2.0 * max_deg) - 1e-9 if max_deg > 0 else lam2 >= -1e-9
-    if connected:
-        gap = lam2 > 2.0 / n**3 - 1e-9
-        if n == 2:
-            notes.append("n=2: i(G) = 2/n exactly; gap bound asserted with slack only")
+        notes = ["n=1: no admissible cut subset; sandwich vacuous"]
     else:
-        gap = True
-        notes.append("disconnected profile: connectivity gap not applicable")
-    verdicts = {"cheeger_upper": bool(upper), "cheeger_lower": bool(lower),
-                "connectivity_gap": bool(gap)}
-    return SpectralReport(L, w, lam2, i_g, max_deg, verdicts, notes)
+        notes = []
+        lam2 = float(w[1])
+        upper = 2.0 * i_g >= lam2 - 1e-9
+        lower = lam2 >= (i_g * i_g) / (2.0 * max_deg) - 1e-9 if max_deg > 0 else lam2 >= -1e-9
+        if profile.is_connected():
+            gap = lam2 > 2.0 / n**3 - 1e-9
+            if n == 2:
+                notes.append("n=2: i(G) = 2/n exactly; gap bound asserted with slack only")
+        else:
+            gap = True
+            notes.append("disconnected profile: connectivity gap not applicable")
+        verdicts = {"cheeger_upper": bool(upper), "cheeger_lower": bool(lower),
+                    "connectivity_gap": bool(gap)}
+    return {"n": n, "eigenvalues": w.tolist(), "lambda2": lam2,
+            "cheeger": i_g if math.isfinite(i_g) else None, "max_degree": max_deg,
+            "verdicts": verdicts, "notes": notes}
 
 
 @dataclass

@@ -362,7 +362,8 @@ def floor_verdict(state, next_state, alpha, delta: float):
     from mixedhk.monitors import _floor
     from mixedhk.profile import analyze_state
 
-    return _floor(alpha, delta, analyze_state(state), next_state)
+    now = analyze_state(state)
+    return _floor(alpha, delta, now, next_state, now.components_within(delta))
 
 
 def oracle_energy_drop_bound(state, next_state, alpha) -> float:

@@ -520,3 +520,32 @@ class TestCheckTrajectory:
             )
             assert 4.0 * total_disp <= z0 + 1e-9 * n**2 * cfg.epsilon**2
             assert z0 <= n**2 * cfg.epsilon**2
+
+    def test_each_step_evaluates_its_predicates_once(self, monkeypatch):
+        # the equivalence record reuses the step record's interaction and the
+        # floor's delta-triviality; the report adds one consensus test
+        from mixedhk.profile import StateAnalysis
+
+        # a nontrivial cluster beside two trivial ones: steps of both kinds
+        x = np.array([[0.0, 0.0], [0.5, 0.0], [5.0, 0.0], [5.1, 0.0], [9.0, 0.0], [9.05, 0.0]])
+        cfg = ModelConfig(initial=x, epsilon=0.6,
+                          schedule=StubbornnessSchedule("constant", alpha=np.full(6, 0.5)),
+                          max_steps=40, consensus_tol=1e-300)
+        traj = simulate(cfg)
+        calls = {"components_within": 0, "_interact": 0}
+        within, interact = StateAnalysis.components_within, monitors._interact
+
+        def counted_within(self, tol):
+            calls["components_within"] += 1
+            return within(self, tol)
+
+        def counted_interact(now, nxt):
+            calls["_interact"] += 1
+            return interact(now, nxt)
+
+        monkeypatch.setattr(StateAnalysis, "components_within", counted_within)
+        monkeypatch.setattr(monitors, "_interact", counted_interact)
+        checker = monitors._checked(traj, None, hull=False)
+        report = checker.report(traj)
+        assert 0 < len(checker.equivalence) < traj.steps == len(report["per_step"])
+        assert calls == {"components_within": traj.steps + 1, "_interact": traj.steps}

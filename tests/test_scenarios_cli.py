@@ -1,14 +1,19 @@
 """Built-in scenarios and the command-line surface."""
 
+import csv
+import io
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mixedhk import (SCENARIOS, batch_run, check_trajectory, config_to_text, parse_config_text,
-                     read_trajectory, run_scenario, simulate, write_trajectory)
+from mixedhk import (SCENARIOS, OpinionState, batch_run, build_profile, check_cheeger,
+                     check_trajectory, config_to_text, detect_merge_events, parse_config,
+                     parse_config_text, read_trajectory, run_scenario, simulate,
+                     write_trajectory)
 from mixedhk.cli import build_parser, main
 from mixedhk.scenarios import Scenario
 
@@ -55,6 +60,14 @@ class TestScenarios:
             assert [(bool(p), e, o) for p, e, o in got] == want
             assert all(p for p, _, _ in want)
 
+    def test_merge_events_are_the_records_of_reports_and_runs(self):
+        # one list of event dicts: detection, the check report and a run's events
+        traj = simulate(SCENARIOS["example2"]().config)
+        events = detect_merge_events(traj.states)
+        assert events == [{"type": "merge", "t": 1, "i": 0, "j": 1, "departed": True}]
+        assert check_trajectory(traj, hull=False)["merge_events"] == events
+        assert traj.events == events
+
 
 @pytest.fixture
 def sync_config(tmp_path):
@@ -93,6 +106,15 @@ HEADER = ('{"version": 1, "n": 2, "d": 1, "epsilon": 1.0, '
 
 def reject_constant(name):
     raise ValueError(f"report is not strict JSON: it contains {name}")
+
+
+def flat_report(report: dict, prefix: str = "") -> dict:
+    """The leaves of a JSON report, keyed by their dotted paths."""
+    leaves = {}
+    for k, v in report.items():
+        key = f"{prefix}.{k}" if prefix else k
+        leaves.update(flat_report(v, key) if isinstance(v, dict) else {key: v})
+    return leaves
 
 
 class TestCli:
@@ -352,6 +374,52 @@ class TestCli:
         captured = capsys.readouterr().out
         assert code == 0
         assert captured.startswith("key,value")
+        # every report: two fields per row, a list as its JSON text, a scalar as its str()
+        calls = [["check", "--trajectory", str(out)],
+                 ["spectral", "--config", str(sync_config), "--alpha", "0,0,0,0"],
+                 ["spectral", "--config", str(sync_config), "--alpha", "0.5,0.5"],
+                 ["batch", "--config", str(sync_config), "--runs", "3"],
+                 ["scenario", "example2"],
+                 ["scenario", "--list"]]
+        for argv in calls:
+            capsys.readouterr()
+            main(argv)
+            leaves = flat_report(json.loads(capsys.readouterr().out))
+            main(argv + ["--format", "csv"])
+            rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+            assert all(len(row) == 2 for row in rows), (argv, rows)
+            assert rows[0] == ["key", "value"]
+            assert [key for key, _ in rows[1:]] == list(leaves)
+            for key, value in rows[1:]:
+                want = leaves[key]
+                if isinstance(want, list):
+                    assert json.loads(value) == want, (argv, key)
+                else:
+                    assert value == str(want), (argv, key)
+        # the skipped chain's reason holds a comma, so it is quoted
+        main(["spectral", "--config", str(sync_config), "--alpha", "0.5,0.5", "--format", "csv"])
+        assert ('lambda2_chain.skipped,"alpha has shape (2,), expected (4,)"\n'
+                in capsys.readouterr().out)
+
+    @pytest.mark.parametrize("rows", [
+        [0.0],  # n = 1
+        [0.0, 0.5],  # n = 2
+        [0.0, 0.5, 3.0, 3.2, 3.9],  # disconnected
+        [0.0, 0.6, 1.2, 1.5, 2.1, 2.2],  # connected
+    ])
+    def test_check_cheeger_returns_the_printed_report(self, tmp_path, capsys, rows):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = {len(rows)}\nd = 1\nepsilon = 1.0\nmax_steps = 5\n"
+                       "[schedule]\nkind = synchronous\n[initial]\nsource = inline\n"
+                       + "".join(f"row.{i} = {x}\n" for i, x in enumerate(rows)),
+                       encoding="utf-8")
+        main(["spectral", "--config", str(cfg)])
+        printed = json.loads(capsys.readouterr().out)
+        del printed["update_factorization"], printed["lambda2_chain"]
+        config = parse_config(cfg)
+        report = check_cheeger(build_profile(OpinionState(0, config.initial, config.epsilon)))
+        assert report == printed
+        assert list(report) == list(printed)
 
 
 class TestBatch:
@@ -378,6 +446,33 @@ class TestBatch:
         summary = batch_run(cfg, 10, seed_base=0)
         assert summary["single_mover_violations"] == 0
         assert summary["ok"]
+
+    def test_steps_with_a_second_mover_are_counted_by_bits(self, monkeypatch):
+        # doctored runs: agent 0 is 1e-3 off at t = 3, and agent 1's second
+        # coordinate, +0.0 throughout, reads -0.0 at t = 5; each is a second
+        # mover on both of its steps at these seeds, four steps in all
+        import mixedhk.batch
+        from mixedhk import ModelConfig, StubbornnessSchedule
+
+        def doctored(config, checker=None):
+            traj = simulate(config, checker)
+            traj.states = [x.copy() for x in traj.states]
+            traj.states[3][0] += 1e-3
+            traj.states[5][1, 1] = -0.0
+            return traj
+
+        monkeypatch.setattr(mixedhk.batch, "simulate", doctored)
+        rng = np.random.default_rng(5)
+        initial = np.column_stack([rng.uniform(0.0, 0.4, size=5), np.zeros(5)])
+        cfg = ModelConfig(initial=initial, epsilon=1.0,
+                          schedule=StubbornnessSchedule("asynchronous"),
+                          max_steps=30, consensus_tol=1e-300)
+        summary = batch_run(cfg, 4, seed_base=0)
+        for run in summary["per_run"]:
+            states = doctored(replace(cfg, seed=run["seed"], monitors=())).states
+            want = sum(sum(a.tobytes() != b.tobytes() for a, b in zip(x, y)) > 1
+                       for x, y in zip(states, states[1:]))
+            assert run["single_mover_violations"] == want == 4
 
     def test_num_runs_validated(self, sync_config):
         cfg = parse_config_text(sync_config.read_text(), str(sync_config))

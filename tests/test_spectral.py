@@ -201,22 +201,22 @@ class TestCheeger:
 class TestCheckCheeger:
     def test_p3_values(self):
         rep = check_cheeger(p3())
-        assert rep.lambda2 == pytest.approx(1.0, abs=1e-12)
-        assert rep.cheeger == 1.0
-        assert rep.max_degree == 2
-        assert all(rep.verdicts.values())
+        assert rep["lambda2"] == pytest.approx(1.0, abs=1e-12)
+        assert rep["cheeger"] == 1.0
+        assert rep["max_degree"] == 2
+        assert all(rep["verdicts"].values())
 
     def test_k2_upper_tight(self):
         rep = check_cheeger(k2())
-        assert rep.lambda2 == pytest.approx(2.0, abs=1e-12)
-        assert 2.0 * rep.cheeger == pytest.approx(rep.lambda2, abs=1e-12)
-        assert all(rep.verdicts.values())
+        assert rep["lambda2"] == pytest.approx(2.0, abs=1e-12)
+        assert 2.0 * rep["cheeger"] == pytest.approx(rep["lambda2"], abs=1e-12)
+        assert all(rep["verdicts"].values())
 
     def test_all_connected_up_to_5(self):
         for n in range(2, 6):
             for edges in connected_graphs(n):
                 rep = check_cheeger(Profile.from_edges(n, edges))
-                assert all(rep.verdicts.values()), (n, edges, rep.verdicts)
+                assert all(rep["verdicts"].values()), (n, edges, rep["verdicts"])
 
     def test_multiplicity_matches_components_n4(self):
         for n in range(1, 5):

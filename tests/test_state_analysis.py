@@ -96,7 +96,7 @@ def test_analysis_and_merges_match_the_oracles(kind, d):
         edges, labels = oracle_profile(x, eps)
         profile = build_profile(state)
         assert profile.edges == frozenset(edges)
-        assert profile.component_ids == tuple(labels)
+        assert tuple(profile.labels.tolist()) == tuple(labels)
         assert np.array_equal(analysis.mask, neighbor_matrix(state))
         assert np.array_equal(analysis.degrees, analysis.mask.sum(axis=1))
         groups = profile.components()
@@ -109,7 +109,7 @@ def test_analysis_and_merges_match_the_oracles(kind, d):
             diffs = x[np.flatnonzero(analysis.mask[i])] - x[i]
             want = np.sqrt((diffs * diffs).sum(axis=1).max())
             assert _bits(spread[i]) == _bits(want)
-    got = [(e.t, e.i, e.j, e.departed_later) for e in detect_merge_events(traj.states)]
+    got = [(e["t"], e["i"], e["j"], e["departed"]) for e in detect_merge_events(traj.states)]
     assert got == oracle_merge_events(traj.states)
 
 
@@ -372,7 +372,7 @@ def test_profile_labels_from_edges_match_union_find():
                 r = parent[r]
             roots.append(r)
         order = list(dict.fromkeys(roots))
-        assert profile.component_ids == tuple(order.index(r) for r in roots)
+        assert tuple(profile.labels.tolist()) == tuple(order.index(r) for r in roots)
 
 
 class TestEqualityPredicate:
@@ -408,12 +408,12 @@ class TestEqualityPredicate:
     def test_merge_depart_remerge(self):
         x = [[0.0], [1.0]], [[0.5], [0.5]], [[0.4], [0.6]], [[0.5], [0.5]], [[0.5], [0.5]]
         states = [np.array(s) for s in x]
-        got = [(e.t, e.i, e.j, e.departed_later) for e in detect_merge_events(states)]
+        got = [(e["t"], e["i"], e["j"], e["departed"]) for e in detect_merge_events(states)]
         assert got == [(1, 0, 1, True), (3, 0, 1, False)] == oracle_merge_events(states)
 
     def test_events_sorted_by_time_then_pair(self):
         rng = np.random.default_rng(4)
         states = [rng.integers(0, 2, (6, 1)).astype(np.float64) for _ in range(12)]
-        got = [(e.t, e.i, e.j, e.departed_later) for e in detect_merge_events(states)]
+        got = [(e["t"], e["i"], e["j"], e["departed"]) for e in detect_merge_events(states)]
         assert got == oracle_merge_events(states)
         assert got == sorted(got)
