@@ -3,6 +3,10 @@
 Subcommands: simulate, check, spectral, scenario, batch. Exit codes: 0 on
 success, 1 when an assertion or monitor check failed, 2 on usage or
 configuration errors.
+
+With ``--format csv`` a report prints as key,value rows, one per leaf: a
+string as it is, any other value as its JSON text (``true``, ``null``, a
+list), so every value has one spelling and numbers keep their JSON bytes.
 """
 
 from __future__ import annotations
@@ -87,9 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: dict, out, fmt):
-    """Write a report as JSON (default) or as key,value CSV rows, one per
-    leaf of the flattened report: a list value is written as its JSON text,
-    and a field is quoted where it holds a comma or a quote."""
+    """Write a report as JSON (default) or as the key,value CSV rows of the
+    module docstring, a field quoted where it holds a comma or a quote."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -100,8 +103,8 @@ def _emit(report: dict, out, fmt):
                 for k, v in obj.items():
                     flatten(f"{prefix}.{k}" if prefix else str(k), v)
             else:
-                writer.writerow((prefix, json.dumps(obj) if isinstance(obj, (list, tuple))
-                                 else str(obj)))
+                writer.writerow((prefix, obj if isinstance(obj, str)
+                                 else json.dumps(obj, default=str, allow_nan=False)))
 
         flatten("", report)
         text = buf.getvalue()
@@ -207,10 +210,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except MixedHKError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (KeyError, ValueError) as exc:
+    except (MixedHKError, KeyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -18,17 +18,17 @@ Where a statement is asymptotic, the monitor evaluates a finite-horizon
 surrogate and says so; a verdict here is evidence, not proof.
 
 A ``Checker`` is the one verification engine, pushed each transition as
-alpha(t) and both states' analyses. ``push`` returns the step's record (a
-plain dict; ``simulate``'s ``[monitors]`` records come from the same
-function), and ``report``, or ``check_trajectory`` over stored states,
-holds every trajectory-level quantity. ``interaction_equivalence`` and
-``consensus_envelope_check`` read one such pass for data it does not hold.
+alpha(t) and both states' analyses. ``push`` settles every violation
+counter of its step and returns the step's record (a plain dict;
+``simulate``'s ``[monitors]`` records come from the same function), and
+``report``, or ``check_trajectory`` over stored states, aggregates them.
+``interaction_equivalence`` and ``consensus_envelope_check`` read one such
+pass for data the report does not hold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -155,58 +155,19 @@ def consensus_envelope_check(traj: Trajectory, beta_cap: float) -> dict:
     }
 
 
-def _movement_budgets(traj: Trajectory, degrees: np.ndarray,
-                      spread: np.ndarray) -> tuple[list, int]:
-    """Every agent's movement budget and the number of step-wise violations,
-    in one array pass from the (steps, n) arrays of neighbor counts and
-    neighbor spreads at each step.
-
-    Agent i's terms (1 - a_i(t)) (1 - 1/|N_i(t)|) max_{j in N_i} dist(i, j)
-    have partial sums bounding its total movement; the budget is the last
-    partial sum, and each step's ||x_i(t) - x_i(t+1)|| <= term is checked
-    with 1e-12 slack (a NaN fails it).
+def _floor(alpha: np.ndarray, delta: float, move: np.ndarray, trivial: bool) -> bool:
+    """True iff the step violates sum_i ||move_i||^2 > 2 delta^2 (1 - max
+    alpha)^2 / n^8, for ``move`` = x(t+1) - x(t). The floor applies whenever
+    some component of the current profile is delta-nontrivial (``trivial``
+    is false) and every stubbornness entry is below one: restricting to a
+    delta-nontrivial component reduces to the connected case, and both the
+    component size and its maximum stubbornness only tighten the bound.
     """
-    if traj.steps == 0:
-        return [0.0] * traj.n, 0
-    terms = (1.0 - np.array(traj.alphas)) * (1.0 - 1.0 / degrees) * spread
-    x = np.array(traj.states)
-    moves = x[1:] - x[:-1]
-    # the per-row dot product that np.linalg.norm takes of one move
-    movement = np.sqrt(np.matmul(moves[..., None, :], moves[..., :, None])[..., 0, 0])
-    violations = int(np.count_nonzero(~(movement <= terms + DIAM_SLACK)))
-    return np.cumsum(terms, axis=0)[-1].tolist(), violations
-
-
-@dataclass
-class FloorVerdict:
-    applicable: bool
-    ok: Optional[bool]
-    displacement_sq_sum: Optional[float]
-    floor: Optional[float]
-    reason: str
-
-
-def _floor(alpha: np.ndarray, delta: float, now: StateAnalysis, nxt,
-           trivial: bool) -> FloorVerdict:
-    """Check sum_i ||x_i(t) - x_i(t+1)||^2 > 2 delta^2 (1 - max alpha)^2 / n^8
-    from the analysis of the first state; of ``nxt``, the next state or its
-    analysis, only the opinions are read. ``trivial`` is
-    ``now.components_within(delta)``.
-
-    Applicable whenever some component of the current profile is
-    delta-nontrivial and every stubbornness entry is below one (restricting
-    to a delta-nontrivial component reduces to the connected case, and both
-    the component size and its maximum stubbornness only tighten the bound).
-    Inapplicable steps return an explicit not-applicable verdict.
-    """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if np.any(alpha >= 1.0):
-        return FloorVerdict(False, None, None, None, "some alpha_i = 1")
-    if trivial:
-        return FloorVerdict(False, None, None, None, "every component delta-trivial")
-    lhs = float(((nxt.x - now.x) ** 2).sum())
-    floor = 2.0 * delta**2 * (1.0 - float(alpha.max())) ** 2 / now.n**8
-    return FloorVerdict(True, lhs > floor * (1.0 - 1e-9), lhs, floor, "applicable")
+    if trivial or (alpha >= 1.0).any():
+        return False
+    lhs = float((move ** 2).sum())
+    floor = 2.0 * delta**2 * (1.0 - float(alpha.max())) ** 2 / move.shape[0]**8
+    return not lhs > floor * (1.0 - 1e-9)
 
 
 def settling_bounds(n: int, epsilon: float, delta: float, sup_alpha: float) -> tuple[float, float]:
@@ -283,15 +244,18 @@ class Checker:
     ``report`` builds the check report. Of the analyses the checker keeps
     only the latest, so with the caller's next one at most two n-by-n masks
     are alive, and its hull buffer holds at most ``HULL_BUFFER_BYTES`` plus
-    one step's vertex sets. Besides the violation counters it keeps O(n)
-    values per step: the step's record (whose component diameters give the
-    settling and first-interaction times), the step's equivalence record
-    when it has one (``equivalence``, None when delta > epsilon/4) and the
-    degrees and neighbor spreads of the step's first state (for movement
-    budgets).
-    Spreads are computed for agents with alpha_i < 1 only; the others'
-    budget term (1 - 1) c s is +0.0 whatever their spread, so they keep 0.
-    ``delta`` defaults to epsilon/4.
+    one step's vertex sets. ``push`` settles every violation counter of its
+    step, and ``report`` only aggregates. Besides the counters the checker
+    keeps each agent's movement budget and O(n) values per step: the step's
+    record (whose component diameters give the settling and first-interaction
+    times) and its equivalence record when it has one (``equivalence``, None
+    when delta > epsilon/4). ``delta`` defaults to epsilon/4.
+
+    Agent i's budget is the running sum of its terms (1 - a_i(t))
+    (1 - 1/|N_i(t)|) max_{j in N_i} dist(i, j), and each step's
+    ||x_i(t) - x_i(t+1)|| <= term is checked with 1e-12 slack (a NaN fails
+    it). Spreads are computed for agents with alpha_i < 1 only; the others'
+    term (1 - 1) c s is +0.0 whatever their spread, so they keep 0.
 
     With ``hull`` on, ``push`` adds the step's hull problems to a
     ``profile.HullBuffer`` instead of solving them. ``profile.hull_strays``
@@ -307,13 +271,12 @@ class Checker:
         if not (self.delta > 0):
             raise ValueError(f"delta must be positive, got {self.delta}")
         self.hull = hull
-        # movement_bound and equivalence are counted when the report is built
         self._violations = {"energy_descent": 0, "contraction": 0, "nonexpansion": 0,
                             "movement_bound": 0, "equivalence": 0, "hull": 0,
                             "displacement_floor": 0}
         self.equivalence: Optional[list] = [] if self.delta <= epsilon / 4.0 else None
         self._records = []
-        self._degrees, self._spread = [], []
+        self._partial_sums: Optional[np.ndarray] = None
         self._last: Optional[StateAnalysis] = None
         self._hull = HullBuffer()
 
@@ -330,14 +293,15 @@ class Checker:
 
         The returned record is the one the report's ``per_step`` holds:
         read it, do not change it."""
+        alpha = np.asarray(alpha, dtype=np.float64)
         record = _step_record(alpha, now, nxt, interaction=True, hull=False)
         v = self._violations
         v["energy_descent"] += not record["energy_ok"]
         v["contraction"] += record["contraction_ok"] is False
         v["nonexpansion"] += not record["nonexpansion_ok"]
+        move = nxt.x - now.x
         trivial = now.components_within(self.delta)
-        fv = _floor(alpha, self.delta, now, nxt, trivial)
-        v["displacement_floor"] += fv.applicable and not fv.ok
+        v["displacement_floor"] += _floor(alpha, self.delta, move, trivial)
         if self.hull:
             self._hull.add(len(self._records), now, nxt.x)
             if self._hull.nbytes >= HULL_BUFFER_BYTES:
@@ -347,14 +311,20 @@ class Checker:
             c1 = any(dm > self.delta for dm in nxt.component_diameters)
             c2 = record["interaction"]
             c3 = any(dm > now.epsilon / 2.0 for dm in nxt.component_diameters)
+            equivalent = c1 == c2 == c3
             self.equivalence.append({"t": now.t, "next_nontrivial": c1, "interaction": c2,
-                                     "half_eps_nontrivial": c3, "equivalent": c1 == c2 == c3})
+                                     "half_eps_nontrivial": c3, "equivalent": equivalent})
+            v["equivalence"] += not equivalent
         self._records.append(record)
-        self._degrees.append(now.degrees)
-        movable = np.flatnonzero(np.asarray(alpha) < 1.0)
+        movable = np.flatnonzero(alpha < 1.0)
         spread = np.zeros(now.n)
         spread[movable] = neighbor_spread(now.x, now.mask[movable], movable)
-        self._spread.append(spread)
+        terms = (1.0 - alpha) * (1.0 - 1.0 / now.degrees) * spread
+        # the per-row dot product that np.linalg.norm takes of one move
+        movement = np.sqrt(np.matmul(move[:, None, :], move[:, :, None])[:, 0, 0])
+        v["movement_bound"] += now.n - int(np.count_nonzero(movement <= terms + DIAM_SLACK))
+        sums = self._partial_sums
+        self._partial_sums = terms if sums is None else sums + terms
         self._last = nxt
         return record
 
@@ -370,10 +340,8 @@ class Checker:
             last = analyze_state(traj.state_at(0))
         diameters = [r["diam_per_component"] for r in self._records] + [last.component_diameters]
         delta = self.delta
-        partial_sums, movement_bound = _movement_budgets(traj, np.array(self._degrees),
-                                                         np.array(self._spread))
-        violations = dict(self.violations, movement_bound=movement_bound,
-                          equivalence=sum(not r["equivalent"] for r in self.equivalence or ()))
+        sums = self._partial_sums
+        violations = dict(self.violations)
         events = detect_merge_events(traj.states) if len(traj.states) >= 2 else []
         sup_a = traj.sup_alpha()
         tau_bound = interaction_bound = None
@@ -396,7 +364,7 @@ class Checker:
             "sup_alpha": sup_a,
             "consensus_reached": last.components_within(traj.consensus_tol),
             "final_diameter": last.diameter,
-            "partial_sums": partial_sums,
+            "partial_sums": [0.0] * traj.n if sums is None else sums.tolist(),
             "interaction_times": _interaction_times(traj.epsilon, diameters),
             "interaction_bound": interaction_bound,
             "merge_events": events,

@@ -99,8 +99,8 @@ def _check_header(header, path) -> dict:
     return header
 
 
-def _traj_from_parts(header: dict, states, alphas, events, metrics, path) -> Trajectory:
-    traj = Trajectory(
+def _traj_from_parts(header: dict, states, alphas, events, metrics) -> Trajectory:
+    return Trajectory(
         n=header["n"],
         d=header["d"],
         epsilon=header["epsilon"],
@@ -113,7 +113,6 @@ def _traj_from_parts(header: dict, states, alphas, events, metrics, path) -> Tra
         metrics=metrics,
         events=events or [],
     )
-    return traj
 
 
 def _read_json(path: Path) -> Trajectory:
@@ -129,7 +128,7 @@ def _read_json(path: Path) -> Trajectory:
         raise IntegrityError(f"{path}: malformed states/alphas: {exc}") from None
     _check_shapes(header, states, alphas, path)
     return _traj_from_parts(header, states, alphas, payload.get("events"),
-                            payload.get("metrics"), path)
+                            payload.get("metrics"))
 
 
 def _read_csv(path: Path) -> Trajectory:
@@ -152,44 +151,47 @@ def _read_csv(path: Path) -> Trajectory:
     if lines[2] != expected_cols:
         raise IntegrityError(f"{path}: unexpected column header {lines[2]!r}")
     rows = [ln for ln in lines[3:] if ln.strip()]
+
+    def bad_row(k: int, what: str) -> IntegrityError:
+        # the file line of data row k: the blank lines skipped above still count
+        lineno = 4 + [j for j, ln in enumerate(lines[3:]) if ln.strip()][k]
+        return IntegrityError(f"{path}: row {lineno}: {what}")
+
     if len(rows) % n != 0:
         raise IntegrityError(f"{path}: truncated file: {len(rows)} data rows is not a "
                              f"multiple of n={n}")
     num_times = len(rows) // n
     states = []
     alphas = []
-    row_iter = iter(enumerate(rows, start=4))
+    row_iter = iter(enumerate(rows))
     for t in range(num_times):
         x = np.empty((n, d))
         a = np.empty(n)
         has_alpha = None
         for i in range(n):
-            lineno, row = next(row_iter)
+            k, row = next(row_iter)
             parts = row.split(",")
             if len(parts) != d + 3:
-                raise IntegrityError(f"{path}: row {lineno}: expected {d + 3} fields, "
-                                     f"got {len(parts)}")
+                raise bad_row(k, f"expected {d + 3} fields, got {len(parts)}")
             try:
                 row_t, row_i = int(parts[0]), int(parts[1])
                 coords = [float(v) for v in parts[2:2 + d]]
             except ValueError:
-                raise IntegrityError(f"{path}: row {lineno}: malformed values in {row!r}") from None
+                raise bad_row(k, f"malformed values in {row!r}") from None
             if row_t != t or row_i != i:
-                raise IntegrityError(f"{path}: row {lineno}: expected (t={t}, agent={i}), "
-                                     f"got (t={row_t}, agent={row_i})")
+                raise bad_row(k, f"expected (t={t}, agent={i}), got (t={row_t}, agent={row_i})")
             x[i] = coords
             alpha_field = parts[2 + d]
             this_has = alpha_field != ""
             if has_alpha is None:
                 has_alpha = this_has
             elif has_alpha != this_has:
-                raise IntegrityError(f"{path}: row {lineno}: inconsistent alpha column at t={t}")
+                raise bad_row(k, f"inconsistent alpha column at t={t}")
             if this_has:
                 try:
                     a[i] = float(alpha_field)
                 except ValueError:
-                    raise IntegrityError(f"{path}: row {lineno}: malformed alpha "
-                                         f"{alpha_field!r}") from None
+                    raise bad_row(k, f"malformed alpha {alpha_field!r}") from None
         states.append(x)
         if has_alpha:
             alphas.append(a)
@@ -205,7 +207,7 @@ def _read_csv(path: Path) -> Trajectory:
             raise IntegrityError(f"{meta_path}: malformed sidecar: {exc}") from None
         events = meta.get("events") or []
         metrics = meta.get("metrics")
-    return _traj_from_parts(header, states, alphas, events, metrics, path)
+    return _traj_from_parts(header, states, alphas, events, metrics)
 
 
 def _check_shapes(header: dict, states, alphas, path):

@@ -7,6 +7,8 @@ that engine results can be checked against a second implementation.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from mixedhk.errors import NumericalFailure, SizeLimitError
@@ -356,14 +358,40 @@ def step_record(state, next_state, alpha, *, interaction: bool = False,
                         interaction=interaction, hull=hull)
 
 
-def floor_verdict(state, next_state, alpha, delta: float):
-    """The displacement-floor verdict of one transition, from a fresh
-    analysis of the first state."""
-    from mixedhk.monitors import _floor
+def floor_verdict(state, next_state, alpha, delta: float) -> SimpleNamespace:
+    """The displacement-floor verdict of one transition: ``applicable``,
+    ``ok``, the left-hand side ``displacement_sq_sum``, the ``floor`` and a
+    ``reason``, with delta-triviality from the components of
+    ``oracle_profile`` and their ``diameter`` and the squared displacement
+    summed agent by agent."""
+    from mixedhk.profile import diameter
+
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if any(a >= 1.0 for a in alpha.tolist()):
+        return SimpleNamespace(applicable=False, ok=None, displacement_sq_sum=None,
+                               floor=None, reason="some alpha_i = 1")
+    _, labels = oracle_profile(state.x, state.epsilon)
+    groups = [[i for i, label in enumerate(labels) if label == c] for c in set(labels)]
+    if all(diameter(state.x[g]) <= delta for g in groups):
+        return SimpleNamespace(applicable=False, ok=None, displacement_sq_sum=None,
+                               floor=None, reason="every component delta-trivial")
+    lhs = 0.0
+    for before, after in zip(state.x, next_state.x):
+        lhs += float(((after - before) ** 2).sum())
+    floor = 2.0 * delta**2 * (1.0 - max(alpha.tolist())) ** 2 / state.n**8
+    return SimpleNamespace(applicable=True, ok=lhs > floor * (1.0 - 1e-9),
+                           displacement_sq_sum=lhs, floor=floor, reason="applicable")
+
+
+def pushed_floor_violations(state, next_state, alpha, delta: float) -> int:
+    """The displacement-floor count of a hull-free ``Checker`` pushed the one
+    transition from ``state`` to ``next_state``."""
+    from mixedhk.monitors import Checker
     from mixedhk.profile import analyze_state
 
-    now = analyze_state(state)
-    return _floor(alpha, delta, now, next_state, now.components_within(delta))
+    checker = Checker(state.epsilon, delta, hull=False)
+    checker.push(alpha, analyze_state(state), analyze_state(next_state))
+    return checker.violations["displacement_floor"]
 
 
 def oracle_energy_drop_bound(state, next_state, alpha) -> float:

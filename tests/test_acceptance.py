@@ -32,8 +32,8 @@ from mixedhk import (
 )
 from mixedhk.profile import analyze_state
 from mixedhk.spectral import eigh
-from conftest import (eigh_batch, floor_verdict, is_connected_edges, oracle_hk_step, random_alpha,
-                      random_opinions, step_record)
+from conftest import (eigh_batch, floor_verdict, is_connected_edges, oracle_hk_step,
+                      pushed_floor_violations, random_alpha, random_opinions, step_record)
 
 
 def report(k: int, ok: bool, detail: str):
@@ -180,6 +180,8 @@ def test_criterion_6_settling_and_displacement_floor():
                 verdict = floor_verdict(state, nxt, alpha, delta)
                 assert verdict.applicable, verdict.reason
                 assert verdict.ok, (verdict.displacement_sq_sum, verdict.floor)
+                assert pushed_floor_violations(state, nxt, alpha, delta) == (
+                    verdict.applicable and not verdict.ok)
                 floor_checks += 1
                 state = nxt
             assert tau is not None, f"no settling within horizon {horizon}"

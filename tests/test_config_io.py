@@ -1,5 +1,7 @@
 """Config parsing/serialization and trajectory persistence round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,18 @@ class TestTrajectoryPersistence:
         lines[7] = lines[7].replace(",", ";", 1)
         path.write_text("\n".join(lines))
         with pytest.raises(IntegrityError, match="row 8"):
+            read_trajectory(path)
+
+    def test_row_after_a_blank_line_named_by_its_file_line(self, tmp_path):
+        # a blank file line 5, then a bad value on file line 8
+        path = tmp_path / "blank.csv"
+        path.write_text("# mixed-hk-trajectory v1\n"
+                        '# header={"version": 1, "n": 2, "d": 1, "epsilon": 1.0, '
+                        '"schedule": {"kind": "synchronous"}, "seed": 0}\n'
+                        "t,agent,x_0,alpha\n0,0,0.0,0.0\n\n0,1,0.5,0.0\n1,0,0.25,\n"
+                        "1,1,oops,\n", encoding="utf-8")
+        with pytest.raises(IntegrityError, match=re.escape("row 8: malformed values in "
+                                                           "'1,1,oops,'")):
             read_trajectory(path)
 
     def test_truncated_file(self, tmp_path):

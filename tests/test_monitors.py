@@ -21,7 +21,7 @@ from mixedhk import (
 import mixedhk.monitors as monitors
 from mixedhk.profile import analyze_state
 from conftest import (floor_verdict, oracle_interaction_times, oracle_movement_budget,
-                      random_alpha, random_opinions, step_record)
+                      pushed_floor_violations, random_alpha, random_opinions, step_record)
 
 
 def example1_pair(eps=1.0):
@@ -287,6 +287,8 @@ class TestDisplacementFloor:
         assert verdict.applicable and verdict.ok
         assert verdict.displacement_sq_sum == pytest.approx(eps**2 / 2.0, abs=1e-15)
         assert verdict.floor == pytest.approx(2.0 * (eps / 2) ** 2 / 2**8, abs=1e-18)
+        assert pushed_floor_violations(st, nxt, np.zeros(2), eps / 2) == (
+            verdict.applicable and not verdict.ok)
 
     def test_alpha_near_one_still_holds(self):
         eps = 1.0
@@ -295,12 +297,16 @@ class TestDisplacementFloor:
         nxt = step(st, alpha)
         verdict = floor_verdict(st, nxt, alpha, delta=eps / 2)
         assert verdict.applicable and verdict.ok
+        assert pushed_floor_violations(st, nxt, alpha, eps / 2) == (
+            verdict.applicable and not verdict.ok)
 
     def test_alpha_one_not_applicable(self):
         st = OpinionState(0, np.array([[0.0], [1.0]]), 1.0)
         nxt = step(st, np.ones(2))
         verdict = floor_verdict(st, nxt, np.ones(2), delta=0.5)
         assert not verdict.applicable and verdict.reason == "some alpha_i = 1"
+        assert pushed_floor_violations(st, nxt, np.ones(2), 0.5) == (
+            verdict.applicable and not verdict.ok)
 
     def test_trivial_components_not_applicable(self):
         st = OpinionState(0, np.array([[0.0], [5.0]]), 1.0)
@@ -308,6 +314,18 @@ class TestDisplacementFloor:
         verdict = floor_verdict(st, nxt, np.zeros(2), delta=0.5)
         assert not verdict.applicable
         assert verdict.reason == "every component delta-trivial"
+        assert pushed_floor_violations(st, nxt, np.zeros(2), 0.5) == (
+            verdict.applicable and not verdict.ok)
+
+    def test_a_frozen_step_fails_the_floor(self):
+        # a tampered step: no agent moves although a component is delta-nontrivial
+        st = OpinionState(0, np.array([[0.0], [1.0], [5.0]]), 1.0)
+        alpha = np.array([0.5, 0.0, 0.0])
+        verdict = floor_verdict(st, st, alpha, delta=0.25)
+        assert verdict.applicable and not verdict.ok
+        assert verdict.displacement_sq_sum == 0.0
+        assert verdict.floor == 2.0 * 0.25**2 * 0.25 / 3**8
+        assert pushed_floor_violations(st, st, alpha, 0.25) == 1
 
     def test_fragmented_profile_sweep(self):
         rng = np.random.default_rng(103)
@@ -319,6 +337,8 @@ class TestDisplacementFloor:
             delta = st.epsilon / 4.0
             nxt = step(st, alpha)
             verdict = floor_verdict(st, nxt, alpha, delta)
+            assert pushed_floor_violations(st, nxt, alpha, delta) == (
+                verdict.applicable and not verdict.ok)
             if verdict.applicable:
                 applicable += 1
                 assert verdict.ok

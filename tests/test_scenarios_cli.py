@@ -374,7 +374,8 @@ class TestCli:
         captured = capsys.readouterr().out
         assert code == 0
         assert captured.startswith("key,value")
-        # every report: two fields per row, a list as its JSON text, a scalar as its str()
+        # every report: two fields per row, a string as it is, any other value
+        # (a list, a number, a boolean, null) as its JSON text
         calls = [["check", "--trajectory", str(out)],
                  ["spectral", "--config", str(sync_config), "--alpha", "0,0,0,0"],
                  ["spectral", "--config", str(sync_config), "--alpha", "0.5,0.5"],
@@ -394,8 +395,10 @@ class TestCli:
                 want = leaves[key]
                 if isinstance(want, list):
                     assert json.loads(value) == want, (argv, key)
+                if isinstance(want, str):
+                    assert value == want, (argv, key)
                 else:
-                    assert value == str(want), (argv, key)
+                    assert value == json.dumps(want), (argv, key)
         # the skipped chain's reason holds a comma, so it is quoted
         main(["spectral", "--config", str(sync_config), "--alpha", "0.5,0.5", "--format", "csv"])
         assert ('lambda2_chain.skipped,"alpha has shape (2,), expected (4,)"\n'

@@ -30,6 +30,7 @@ from mixedhk import (
     read_trajectory,
     simulate,
     step,
+    write_trajectory,
 )
 from mixedhk.dynamics import SCHEDULE_KINDS, squared_distances
 from mixedhk.profile import analyze_state, neighbor_spread, opinions_equal
@@ -122,7 +123,7 @@ def _oracle_budgets(traj) -> tuple[list, int]:
 
 @pytest.mark.parametrize("d", DIMS)
 @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
-def test_movement_budgets_match_the_per_agent_arithmetic(kind, d, monkeypatch):
+def test_movement_budgets_match_the_per_agent_arithmetic(kind, d):
     traj = _trajectory(kind, d, seed=7 + 1000 * d + SCHEDULE_KINDS.index(kind))
     budgets = [oracle_movement_budget(traj, agent) for agent in range(traj.n)]
     # each prefix's report holds every agent's partial sum and the violations
@@ -134,10 +135,10 @@ def test_movement_budgets_match_the_per_agent_arithmetic(kind, d, monkeypatch):
             [sums[steps - 1] if steps else 0.0 for _, sums, _, _ in budgets])
         assert report["violations"]["movement_bound"] == sum(
             ok[:steps].count(False) for _, _, ok, _ in budgets)
-    report = json.dumps(check_trajectory(traj, hull=False))
-    monkeypatch.setattr(monitors, "_movement_budgets",
-                        lambda traj, degrees, spread: _oracle_budgets(traj))
-    assert json.dumps(check_trajectory(traj, hull=False)) == report
+    report = check_trajectory(traj, hull=False)
+    partial, violations = _oracle_budgets(traj)
+    assert _bits(report["partial_sums"]) == _bits(partial)
+    assert report["violations"]["movement_bound"] == violations
 
 
 @pytest.mark.parametrize("d", (1, 2, 8))
@@ -195,18 +196,56 @@ def test_trajectory_monitors_match_the_per_state_routes(kind):
     assert all(seen.values()), seen
 
 
-def test_report_counts_the_equivalence_records_that_fail():
-    # a tampered file: one cluster spreads to epsilon/2 without meeting
-    # another, so condition (1) holds while (2) and (3) do not
-    traj = Trajectory(n=2, d=1, epsilon=1.0, schedule={"kind": "synchronous"}, seed=0,
+def _equivalence_mismatch() -> Trajectory:
+    """A tampered file: one cluster spreads to epsilon/2 without meeting
+    another, so condition (1) holds while (2) and (3) do not."""
+    return Trajectory(n=2, d=1, epsilon=1.0, schedule={"kind": "synchronous"}, seed=0,
                       states=[np.zeros((2, 1)), np.array([[0.0], [0.5]])],
                       alphas=[np.zeros(2)], stop_reason="horizon")
+
+
+def test_report_counts_the_equivalence_records_that_fail():
+    traj = _equivalence_mismatch()
     got = _trajectory_monitors(traj, 0.25, 0.5, oracle=False)
     assert got == _trajectory_monitors(traj, 0.25, 0.5, oracle=True)
     assert interaction_equivalence(traj, 0.25)["mismatches"] == 1
     report = check_trajectory(traj, 0.25, hull=False)
     assert report["interaction_equivalence"] == {"mismatches": 1}
     assert report["violations"]["equivalence"] == 1
+
+
+def _isolated_mover(tmp_path) -> Trajectory:
+    """A tampered file: agent 2, alone and with alpha = 0, moves at the
+    second step, although its budget term is 0."""
+    x0 = np.array([[0.0], [0.5], [5.0]])
+    x1 = np.array([[0.25], [0.25], [5.0]])
+    x2 = np.array([[0.25], [0.25], [5.5]])
+    traj = Trajectory(n=3, d=1, epsilon=1.0, schedule={"kind": "synchronous"}, seed=0,
+                      states=[x0, x1, x2], alphas=[np.zeros(3)] * 2, stop_reason="horizon")
+    return read_trajectory(write_trajectory(traj, tmp_path / "isolated.csv"))
+
+
+@pytest.mark.parametrize("case", SCHEDULE_KINDS + ("isolated-mover", "equivalence-mismatch"))
+def test_every_push_settles_its_counters(case, tmp_path):
+    if case == "isolated-mover":
+        runs, want = [_isolated_mover(tmp_path)], "movement_bound"
+    elif case == "equivalence-mismatch":
+        runs, want = [_equivalence_mismatch()], "equivalence"
+    else:
+        runs = [_trajectory(case, d, seed=401 + 1000 * d + SCHEDULE_KINDS.index(case), steps=15)
+                for d in (1, 2)]
+        want = None
+    for traj in runs:
+        checker = Checker(traj.epsilon)
+        now = analyze_state(traj.state_at(0))
+        for t in range(traj.steps):
+            nxt = analyze_state(traj.state_at(t + 1), now)
+            checker.push(traj.alphas[t], now, nxt)
+            prefix = replace(traj, states=traj.states[:t + 2], alphas=traj.alphas[:t + 1])
+            assert checker.violations == check_trajectory(prefix)["violations"], (case, t)
+            now = nxt
+        if want is not None:
+            assert checker.violations[want] == 1
 
 
 def test_trajectory_monitors_reject_a_file_without_states(tmp_path):
