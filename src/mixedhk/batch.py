@@ -17,7 +17,7 @@ def _one_run(config: ModelConfig, seed: int, delta: Optional[float], hull: bool)
     cfg = replace(config, seed=seed, initial=config.initial.copy(), monitors=())
     checker = Checker(cfg.epsilon, delta, hull=hull)
     traj = simulate(cfg, checker)
-    report = checker.report(traj)
+    verdict = checker.verdict(traj)
     single_mover_bad = 0
     if cfg.schedule.kind == "asynchronous":
         # rows compared as bits, so a -0.0 that was +0.0 counts as a move
@@ -28,12 +28,12 @@ def _one_run(config: ModelConfig, seed: int, delta: Optional[float], hull: bool)
         "seed": seed,
         "steps": traj.steps,
         "stop_reason": traj.stop_reason,
-        "violations": report["violations"],
-        "total_violations": report["total_violations"] + single_mover_bad,
+        "violations": verdict["violations"],
+        "total_violations": verdict["total_violations"] + single_mover_bad,
         "single_mover_violations": single_mover_bad,
-        "tau_delta": report["tau_delta"],
-        "consensus_reached": report["consensus_reached"],
-        "final_diameter": report["final_diameter"],
+        "tau_delta": verdict["tau_delta"],
+        "consensus_reached": verdict["consensus_reached"],
+        "final_diameter": verdict["final_diameter"],
     }
 
 

@@ -72,7 +72,7 @@ class OpinionState:
             raise ValueError(f"opinions must be a 2-D array, got shape {x.shape}")
         if x.shape[0] < 1 or x.shape[1] < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("opinions must be finite (no NaN/Inf)")
         if not (self.epsilon > 0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
@@ -169,7 +169,7 @@ def _check_alpha(a: np.ndarray):
     if a.ndim != 1:
         raise ConfigError(f"alpha must be a vector, got shape {a.shape}")
     # NaN fails both comparisons, so this also rejects every non-finite entry
-    if not np.all((a >= 0.0) & (a <= 1.0)):
+    if not ((a >= 0.0) & (a <= 1.0)).all():
         raise ConfigError("every stubbornness entry must lie in [0, 1]")
 
 

@@ -31,6 +31,7 @@ from .profile import Profile
 
 CHEEGER_MAX_N = 16
 EIGH_MAX_N = 64
+CHAIN_SAMPLES = 1000  # random unit vectors of the chain's variational check
 
 
 def laplacian(profile: Profile) -> np.ndarray:
@@ -214,7 +215,11 @@ def check_cheeger(profile: Profile) -> dict:
     and ``connectivity_gap`` lambda_2 > 2/n^3 for connected graphs (vacuous
     for disconnected ones, noted for n in {1, 2} where the chain is boundary).
     """
-    w = eigvalsh(laplacian(profile))
+    return _cheeger_report(profile, eigvalsh(laplacian(profile)))
+
+
+def _cheeger_report(profile: Profile, w: np.ndarray) -> dict:
+    """``check_cheeger``'s report, from the Laplacian's ascending eigenvalues ``w``."""
     n = profile.n
     i_g = cheeger_constant(profile)
     max_deg = int(profile.degrees.max()) - 1
@@ -266,7 +271,7 @@ def update_factorization(profile: Profile, alpha: np.ndarray) -> UpdateFactoriza
     if alpha.shape != (profile.n,):
         raise ValueError(f"alpha has shape {alpha.shape}, expected ({profile.n},)")
     _check_alpha(alpha)
-    if np.any(alpha >= 1.0):
+    if (alpha >= 1.0).any():
         raise ValueError("update_factorization requires every alpha_i < 1 "
                          "(stubbornness factor must be invertible)")
     n = profile.n
@@ -280,7 +285,7 @@ def update_factorization(profile: Profile, alpha: np.ndarray) -> UpdateFactoriza
     return UpdateFactorization(I_minus_B, stub, deg_inv, L, residual)
 
 
-def lambda2_chain_check(profile: Profile, alpha: np.ndarray, *, samples: int = 1000,
+def lambda2_chain_check(profile: Profile, alpha: np.ndarray, *, samples: int = CHAIN_SAMPLES,
                         seed: int = 0) -> dict:
     """Numerically verify the eigenvalue chain behind the displacement bound.
 
@@ -298,14 +303,32 @@ def lambda2_chain_check(profile: Profile, alpha: np.ndarray, *, samples: int = 1
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     fact = update_factorization(profile, alpha)
+    obstacle = _chain_obstacle(profile)
+    if obstacle is not None:
+        raise obstacle
+    return _chain_report(fact, alpha, eigh(fact.laplacian), samples, seed)
+
+
+def _chain_obstacle(profile: Profile):
+    """The error that keeps the eigenvalue chain from applying to
+    ``profile``, or None for a connected profile of 2 to ``CHEEGER_MAX_N``
+    agents."""
     n = profile.n
     if n < 2:
-        raise ValueError("eigenvalue chain needs at least two agents")
+        return ValueError("eigenvalue chain needs at least two agents")
     if n > CHEEGER_MAX_N:
-        raise SizeLimitError(f"chain check capped at n <= {CHEEGER_MAX_N}, got {n}")
+        return SizeLimitError(f"chain check capped at n <= {CHEEGER_MAX_N}, got {n}")
     if not profile.is_connected():
-        raise ValueError("profile must be connected (eigenvalue 0 of Q'Q is "
-                         "simple only for connected profiles)")
+        return ValueError("profile must be connected (eigenvalue 0 of Q'Q is "
+                          "simple only for connected profiles)")
+    return None
+
+
+def _chain_report(fact: UpdateFactorization, alpha: np.ndarray, lap: tuple, samples: int,
+                  seed: int) -> dict:
+    """``lambda2_chain_check``'s report, from the step operator's
+    factorization and the Laplacian's eigensystem ``lap`` (``eigh``'s pair)."""
+    n = fact.laplacian.shape[0]
     alpha = np.asarray(alpha, dtype=np.float64)
     Q = fact.I_minus_B
     QtQ = Q.T @ Q
@@ -318,7 +341,7 @@ def lambda2_chain_check(profile: Profile, alpha: np.ndarray, *, samples: int = 1
     zero_vec_ok = float(np.linalg.norm(QtQ @ ones)) <= tol
     zero_simple = near_zero == 1 and zero_vec_ok
 
-    w_lap, vecs_lap = eigh(fact.laplacian)
+    w_lap, vecs_lap = lap
     lam2_qtq = float(w_qtq[1])
     lam2_lap = float(w_lap[1])
     floor = ((1.0 - float(alpha.max())) / n) ** 2 * lam2_lap**2

@@ -817,3 +817,108 @@ def oracle_lambda2_chain_check(profile, alpha: np.ndarray, *, samples: int = 100
         "variational_min_sampled": worst,
         "factorization_residual": fact.residual,
     }
+
+
+def oracle_read_csv(path):
+    """States and alphas of a CSV trajectory, read one row and one field at a
+    time with ``int()`` and ``float()``: the reader ``trajio`` had before it
+    parsed whole columns. Raises the ``IntegrityError`` that names the first
+    bad row by its file line; the sidecar is not read."""
+    import json
+    from pathlib import Path
+
+    from mixedhk.errors import IntegrityError
+    from mixedhk.trajio import MAGIC, _check_header
+
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise IntegrityError(f"{path}: cannot read trajectory: {exc}") from None
+    lines = text.split("\n")
+    if not lines or lines[0] != MAGIC:
+        raise IntegrityError(f"{path}: not a trajectory file (bad or missing magic line); "
+                             f"expected {MAGIC!r}")
+    if len(lines) < 3 or not lines[1].startswith("# header="):
+        raise IntegrityError(f"{path}: missing header line")
+    try:
+        header = _check_header(json.loads(lines[1][len("# header="):]), path)
+    except json.JSONDecodeError as exc:
+        raise IntegrityError(f"{path}: malformed header JSON: {exc}") from None
+    n, d = header["n"], header["d"]
+    expected_cols = "t,agent," + ",".join(f"x_{k}" for k in range(d)) + ",alpha"
+    if lines[2] != expected_cols:
+        raise IntegrityError(f"{path}: unexpected column header {lines[2]!r}")
+    rows = [ln for ln in lines[3:] if ln.strip()]
+
+    def bad_row(k: int, what: str) -> IntegrityError:
+        lineno = 4 + [j for j, ln in enumerate(lines[3:]) if ln.strip()][k]
+        return IntegrityError(f"{path}: row {lineno}: {what}")
+
+    if len(rows) % n != 0:
+        raise IntegrityError(f"{path}: truncated file: {len(rows)} data rows is not a "
+                             f"multiple of n={n}")
+    num_times = len(rows) // n
+    states = []
+    alphas = []
+    row_iter = iter(enumerate(rows))
+    for t in range(num_times):
+        x = np.empty((n, d))
+        a = np.empty(n)
+        has_alpha = None
+        for i in range(n):
+            k, row = next(row_iter)
+            parts = row.split(",")
+            if len(parts) != d + 3:
+                raise bad_row(k, f"expected {d + 3} fields, got {len(parts)}")
+            try:
+                row_t, row_i = int(parts[0]), int(parts[1])
+                coords = [float(v) for v in parts[2:2 + d]]
+            except ValueError:
+                raise bad_row(k, f"malformed values in {row!r}") from None
+            if row_t != t or row_i != i:
+                raise bad_row(k, f"expected (t={t}, agent={i}), got (t={row_t}, agent={row_i})")
+            x[i] = coords
+            alpha_field = parts[2 + d]
+            this_has = alpha_field != ""
+            if has_alpha is None:
+                has_alpha = this_has
+            elif has_alpha != this_has:
+                raise bad_row(k, f"inconsistent alpha column at t={t}")
+            if this_has:
+                try:
+                    a[i] = float(alpha_field)
+                except ValueError:
+                    raise bad_row(k, f"malformed alpha {alpha_field!r}") from None
+        states.append(x)
+        if has_alpha:
+            alphas.append(a)
+        elif t != num_times - 1:
+            raise IntegrityError(f"{path}: missing alpha column at non-final t={t}")
+    expected = max(len(states) - 1, 0)
+    if len(alphas) != expected:
+        raise IntegrityError(f"{path}: {len(states)} states need {expected} "
+                             f"alpha vectors, got {len(alphas)}")
+    for t, a in enumerate(alphas):
+        if not np.all((a >= 0.0) & (a <= 1.0)):
+            raise IntegrityError(f"{path}: alpha at t={t} must hold finite stubbornness "
+                                 f"values in [0, 1]")
+    return states, alphas
+
+
+def oracle_csv_text(traj) -> str:
+    """A CSV trajectory's text, one row and one ``repr(float(v))`` at a time:
+    the writer ``trajio`` had before it joined whole columns."""
+    import json
+
+    from mixedhk.trajio import MAGIC
+
+    lines = [MAGIC, "# header=" + json.dumps(traj.header(), sort_keys=True)]
+    lines.append("t,agent," + ",".join(f"x_{k}" for k in range(traj.d)) + ",alpha")
+    last = len(traj.states) - 1
+    for t, x in enumerate(traj.states):
+        for i in range(traj.n):
+            coords = ",".join(repr(float(v)) for v in x[i])
+            alpha = repr(float(traj.alphas[t][i])) if t < last else ""
+            lines.append(f"{t},{i},{coords},{alpha}")
+    return "\n".join(lines) + "\n"

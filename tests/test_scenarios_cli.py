@@ -424,8 +424,67 @@ class TestCli:
         assert report == printed
         assert list(report) == list(printed)
 
+    @pytest.mark.parametrize("rows", [
+        [0.0],
+        [0.0, 0.5, 3.0, 3.2, 3.9],  # disconnected
+        [0.0, 0.6, 1.2, 1.5, 2.1, 2.2],  # connected
+    ])
+    def test_spectral_solves_the_laplacian_and_factorizes_once(self, tmp_path, capsys,
+                                                               monkeypatch, rows):
+        from mixedhk import spectral
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = {len(rows)}\nd = 1\nepsilon = 1.0\nmax_steps = 5\n"
+                       "[schedule]\nkind = synchronous\n[initial]\nsource = inline\n"
+                       + "".join(f"row.{i} = {x}\n" for i, x in enumerate(rows)),
+                       encoding="utf-8")
+        config = parse_config(cfg)
+        profile = build_profile(OpinionState(0, config.initial, config.epsilon))
+        alpha = np.full(len(rows), 0.25)
+        # the library route: each check solves and factorizes on its own
+        expected = check_cheeger(profile)
+        expected["update_factorization"] = {
+            "residual": spectral.update_factorization(profile, alpha).residual}
+        try:
+            expected["lambda2_chain"] = spectral.lambda2_chain_check(profile, alpha)
+        except ValueError as exc:
+            expected["lambda2_chain"] = {"skipped": str(exc)}
+        L = spectral.laplacian(profile)
+        solves = []
+
+        def recording(name, fn):
+            def wrapper(M, **kwargs):
+                solves.append((name, np.array_equal(M, L)))
+                return fn(M, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            fn = getattr(spectral, name)
+            for module in (spectral, sys.modules["mixedhk.cli"]):
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, recording(name, fn))
+        factorizations = count_calls(monkeypatch, spectral.update_factorization)
+        main(["spectral", "--config", str(cfg), "--alpha", ",".join(["0.25"] * len(rows))])
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == expected and list(printed) == list(expected)
+        assert factorizations[0] == 1
+        chain = "skipped" not in expected["lambda2_chain"]
+        assert [name for name, of_L in solves if of_L] == (["eigh"] if chain else ["eigvalsh"])
+
 
 class TestBatch:
+    def test_batch_runs_detect_no_merge_events(self, monkeypatch, sync_config):
+        from mixedhk import profile
+        cfg = parse_config_text(sync_config.read_text(), str(sync_config))
+        detections = count_calls(monkeypatch, profile.detect_merge_events)
+        summary = batch_run(cfg, 2, seed_base=100)
+        assert detections[0] == 0
+        report = check_trajectory(simulate(replace(cfg, seed=101, monitors=())), hull=False)
+        assert detections[0] == 1
+        assert {k: summary["per_run"][1][k] for k in
+                ("violations", "tau_delta", "consensus_reached", "final_diameter")} == {
+            k: report[k] for k in ("violations", "tau_delta", "consensus_reached",
+                                   "final_diameter")}
+
     def test_deterministic_summary(self, sync_config):
         cfg = parse_config_text(sync_config.read_text(), str(sync_config))
         s1 = batch_run(cfg, 6, seed_base=100)
