@@ -30,6 +30,7 @@ so configs round-trip bitwise.
 from __future__ import annotations
 
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +38,6 @@ import numpy as np
 from .dynamics import DEFAULT_MONITORS, MONITOR_FLAGS, ModelConfig, StubbornnessSchedule
 from .errors import ConfigError
 
-_TOP_KEYS = {"n", "d", "epsilon", "max_steps", "consensus_tol", "seed"}
-_SCHEDULE_KEYS = {"schedule.kind", "schedule.alpha", "schedule.a", "schedule.seed"}
-_INITIAL_KEYS = {"initial.source", "initial.path"}
 _ROW_RE = re.compile(r"^(schedule|initial)\.row\.(\d+)$")
 
 
@@ -66,123 +64,110 @@ def _parse_lines(text: str, path) -> dict:
     return entries
 
 
-def _want_int(entries, key, path, required=True, default=None):
+def _floats(value: str) -> list:
+    return list(map(float, value.split(",")))
+
+
+def _flag(value: str) -> bool:
+    if value not in ("true", "false"):
+        raise ValueError(value)
+    return value == "true"
+
+
+# what a value must be, named in the error when its converter rejects it
+_MUST_BE = {int: "an integer", float: "a number",
+            _floats: "a comma-separated list of numbers", _flag: "true or false"}
+_REQUIRED = object()
+
+
+def _take(entries, path, key, convert=str, default=_REQUIRED, check=None):
+    """Pop ``key`` from ``entries`` and return its value through ``convert``.
+
+    A missing key gives ``default``, or raises when the key is required. A
+    value that ``convert`` rejects, or for which ``check`` returns a message,
+    raises a ConfigError naming the key's line.
+    """
     if key not in entries:
-        if required:
+        if default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}", path)
         return default
-    value, line = entries.pop(key)
+    text, line = entries.pop(key)
     try:
-        return int(value)
+        value = convert(text)
     except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {value!r}", path, line) from None
+        raise ConfigError(f"{key} must be {_MUST_BE[convert]}, got {text!r}",
+                          path, line) from None
+    if check is not None and (problem := check(value)):
+        raise ConfigError(problem, path, line)
+    return value
 
 
-def _want_float(entries, key, path, required=True, default=None):
-    if key not in entries:
-        if required:
-            raise ConfigError(f"missing required key {key!r}", path)
-        return default
-    value, line = entries.pop(key)
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {value!r}", path, line) from None
+def _rule(ok, message):
+    """A check that returns ``message``, with the value, unless ``ok(value)``."""
+    return lambda value: None if ok(value) else f"{message}, got {value}"
 
 
-def _want_str(entries, key, path, required=True, default=None):
-    if key not in entries:
-        if required:
-            raise ConfigError(f"missing required key {key!r}", path)
-        return default
-    return entries.pop(key)[0]
+def _stubbornness(values, name, n):
+    """The message for a stubbornness row without ``n`` entries in [0, 1], else None."""
+    if len(values) != n:
+        return f"{name} has {len(values)} entries, expected n={n}"
+    if any(not (0.0 <= v <= 1.0) for v in values):
+        return "every stubbornness entry must lie in [0, 1]"
+    return None
 
 
-def _want_floats(entries, key, path):
-    value, line = entries.pop(key)
-    try:
-        return [float(v) for v in value.split(",")], line
-    except ValueError:
-        raise ConfigError(f"{key} must be a comma-separated list of numbers, "
-                          f"got {value!r}", path, line) from None
-
-
-def _collect_rows(entries, prefix, path):
+def _rows(entries, path, prefix):
+    """``(values, line)`` of the rows ``<prefix>0``, ``<prefix>1``, ...,
+    which must be contiguous from 0."""
     rows = {}
-    for key in [k for k in entries if k.startswith(prefix)]:
-        m = _ROW_RE.match(key)
-        if not m:
-            continue
-        idx = int(m.group(2))
-        values, line = _want_floats(entries, key, path)
-        rows[idx] = (values, line)
-    if not rows:
-        return []
-    out = []
+    for key in [k for k in entries if k.startswith(prefix) and _ROW_RE.match(k)]:
+        line = entries[key][1]
+        rows[int(key[len(prefix):])] = (_take(entries, path, key, _floats), line)
     for i in range(len(rows)):
         if i not in rows:
             raise ConfigError(f"{prefix}{i} is missing (rows must be contiguous from 0)", path)
-        out.append(rows[i])
-    return out
+    return [rows[i] for i in range(len(rows))]
 
 
 def parse_config_text(text: str, path="<config>") -> ModelConfig:
     entries = _parse_lines(text, path)
+    take = partial(_take, entries, path)
 
-    n = _want_int(entries, "n", path)
-    d = _want_int(entries, "d", path)
-    eps_line = entries.get("epsilon", (None, None))[1]
-    epsilon = _want_float(entries, "epsilon", path)
-    if not (epsilon > 0):
-        raise ConfigError(f"epsilon must be positive, got {epsilon}", path, eps_line)
-    max_line = entries.get("max_steps", (None, None))[1]
-    max_steps = _want_int(entries, "max_steps", path)
-    if max_steps < 1:
-        raise ConfigError(f"max_steps must be >= 1, got {max_steps}", path, max_line)
-    tol_line = entries.get("consensus_tol", (None, None))[1]
-    consensus_tol = _want_float(entries, "consensus_tol", path, required=False, default=1e-12)
-    if not (consensus_tol > 0):
-        raise ConfigError(f"consensus_tol must be positive, got {consensus_tol}", path, tol_line)
-    seed = _want_int(entries, "seed", path, required=False, default=0)
+    n = take("n", int)
+    d = take("d", int)
+    epsilon = take("epsilon", float, check=_rule(lambda v: v > 0, "epsilon must be positive"))
+    max_steps = take("max_steps", int, check=_rule(lambda v: v >= 1, "max_steps must be >= 1"))
+    consensus_tol = take("consensus_tol", float, 1e-12,
+                         _rule(lambda v: v > 0, "consensus_tol must be positive"))
+    seed = take("seed", int, 0)
 
     kind_line = entries.get("schedule.kind", (None, None))[1]
-    kind = _want_str(entries, "schedule.kind", path)
+    kind = take("schedule.kind")
     if kind == "constant":
         if "schedule.alpha" not in entries:
             raise ConfigError("constant schedule requires schedule.alpha", path, kind_line)
-        values, line = _want_floats(entries, "schedule.alpha", path)
-        if len(values) != n:
-            raise ConfigError(f"schedule.alpha has {len(values)} entries, expected n={n}",
-                              path, line)
-        if any(not (0.0 <= v <= 1.0) for v in values):
-            raise ConfigError("every stubbornness entry must lie in [0, 1]", path, line)
-        schedule = StubbornnessSchedule("constant", alpha=np.array(values))
+        alpha = take("schedule.alpha", _floats,
+                     check=lambda v: _stubbornness(v, "schedule.alpha", n))
+        schedule = StubbornnessSchedule("constant", alpha=np.array(alpha))
     elif kind == "power_law":
-        a_line = entries.get("schedule.a", (None, None))[1]
-        a = _want_float(entries, "schedule.a", path)
-        if not (a > 1):
-            raise ConfigError(f"schedule.a must be > 1, got {a}", path, a_line)
+        a = take("schedule.a", float, check=_rule(lambda v: v > 1, "schedule.a must be > 1"))
         schedule = StubbornnessSchedule("power_law", exponent=a)
     elif kind == "table":
-        rows = _collect_rows(entries, "schedule.row.", path)
+        rows = _rows(entries, path, "schedule.row.")
         if not rows:
             raise ConfigError("table schedule requires schedule.row.<t> entries", path, kind_line)
         for values, line in rows:
-            if len(values) != n:
-                raise ConfigError(f"table row has {len(values)} entries, expected n={n}",
-                                  path, line)
-            if any(not (0.0 <= v <= 1.0) for v in values):
-                raise ConfigError("every stubbornness entry must lie in [0, 1]", path, line)
+            if problem := _stubbornness(values, "table row", n):
+                raise ConfigError(problem, path, line)
         schedule = StubbornnessSchedule("table", table=tuple(v for v, _ in rows))
     elif kind in ("synchronous", "asynchronous"):
-        sched_seed = _want_int(entries, "schedule.seed", path, required=False)
-        schedule = StubbornnessSchedule(kind, seed=sched_seed)
+        schedule = StubbornnessSchedule(kind, seed=take("schedule.seed", int, None))
     else:
         raise ConfigError(f"unknown schedule kind {kind!r}", path, kind_line)
 
-    source = _want_str(entries, "initial.source", path)
+    source = take("initial.source")
     if source == "inline":
-        rows = _collect_rows(entries, "initial.row.", path)
+        rows = _rows(entries, path, "initial.row.")
         if len(rows) != n:
             raise ConfigError(f"initial has {len(rows)} inline rows, expected n={n}", path)
         for values, line in rows:
@@ -191,7 +176,7 @@ def parse_config_text(text: str, path="<config>") -> ModelConfig:
                                   path, line)
         initial = np.array([v for v, _ in rows])
     elif source == "csv":
-        csv_path = _want_str(entries, "initial.path", path)
+        csv_path = take("initial.path")
         base = Path(path).parent if path not in ("<config>", "<scenario>") else Path(".")
         initial = read_initial_csv(Path(csv_path) if Path(csv_path).is_absolute()
                                    else base / csv_path)
@@ -200,15 +185,10 @@ def parse_config_text(text: str, path="<config>") -> ModelConfig:
     else:
         raise ConfigError(f"initial.source must be 'inline' or 'csv', got {source!r}", path)
 
-    monitors = []
-    for flag in MONITOR_FLAGS:
-        key = f"monitors.{flag}"
-        if key in entries:
-            value, line = entries.pop(key)
-            if value not in ("true", "false"):
-                raise ConfigError(f"{key} must be true or false, got {value!r}", path, line)
-            if value == "true":
-                monitors.append(flag)
+    # flag keys, when there are any, name exactly the monitors that run
+    flags = {f: on for f in MONITOR_FLAGS
+             if (on := take(f"monitors.{f}", _flag, None)) is not None}
+    monitors = tuple(f for f, on in flags.items() if on) if flags else DEFAULT_MONITORS
 
     if entries:
         key, (_, line) = next(iter(entries.items()))
@@ -216,7 +196,7 @@ def parse_config_text(text: str, path="<config>") -> ModelConfig:
 
     return ModelConfig(initial=initial, epsilon=epsilon, schedule=schedule,
                        max_steps=max_steps, consensus_tol=consensus_tol,
-                       seed=seed, monitors=tuple(monitors) or DEFAULT_MONITORS)
+                       seed=seed, monitors=monitors)
 
 
 def parse_config(path) -> ModelConfig:
@@ -257,8 +237,7 @@ def config_to_text(config: ModelConfig) -> str:
         lines.append(f"row.{i} = " + ", ".join(repr(float(v)) for v in config.initial[i]))
     lines += ["", "[monitors]"]
     for flag in MONITOR_FLAGS:
-        if flag in config.monitors:
-            lines.append(f"{flag} = true")
+        lines.append(f"{flag} = {str(flag in config.monitors).lower()}")
     return "\n".join(lines) + "\n"
 
 

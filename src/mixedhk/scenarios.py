@@ -277,7 +277,6 @@ def _powerlaw_a2() -> Scenario:
         max_steps=1100,
         consensus_tol=1e-300,
         seed=2024,
-        monitors=("energy", "contraction"),
     )
 
     def movement_bounds(traj: Trajectory, report: dict):

@@ -41,6 +41,8 @@ MAGIC = f"# mixed-hk-trajectory v{FORMAT_VERSION}"
 # JSON type of each header value a trajectory is built from
 HEADER_TYPES = {"n": int, "d": int, "epsilon": (int, float), "schedule": dict,
                 "seed": int, "consensus_tol": (int, float)}
+# StubbornnessSchedule.descriptor's key order
+_SCHEDULE_KEYS = ("kind", "alpha", "a", "table", "seed")
 # ASCII characters that numpy's text parser strips as whitespace but float()
 # and int() reject; outside them, and outside non-ASCII text, the two accept
 # the same CSV fields with the same values
@@ -185,6 +187,11 @@ def _read_csv(path: Path) -> Trajectory:
         header = _check_header(json.loads(lines[1][len("# header="):]), path)
     except json.JSONDecodeError as exc:
         raise IntegrityError(f"{path}: malformed header JSON: {exc}") from None
+    # the header line sorts its keys: put the schedule's back in the writer's
+    # order, so that a rewritten sidecar matches byte for byte
+    schedule = header["schedule"]
+    header["schedule"] = {**{k: schedule[k] for k in _SCHEDULE_KEYS if k in schedule},
+                          **schedule}
     n, d = header["n"], header["d"]
     expected_cols = "t,agent," + ",".join(f"x_{k}" for k in range(d)) + ",alpha"
     if lines[2] != expected_cols:

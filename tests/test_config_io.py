@@ -1,11 +1,12 @@
 """Config parsing/serialization and trajectory persistence round-trips."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mixedhk.config import MONITOR_FLAGS
+from mixedhk.config import DEFAULT_MONITORS, MONITOR_FLAGS
 
 from mixedhk import (
     Checker,
@@ -104,6 +105,136 @@ class TestParseConfig:
         )
         cfg = parse_config_text(text)
         assert np.array_equal(cfg.initial, [[0.25, 0.5], [1.0, 2.0]])
+
+
+# line numbers: n 1, d 2, epsilon 3, max_steps 4, consensus_tol 5, seed 6, [schedule] 7,
+# kind 8, alpha 9, [initial] 10, source 11, rows 12-13, [monitors] 14, energy 15
+FULL = """\
+n = 2
+d = 1
+epsilon = 1.0
+max_steps = 10
+consensus_tol = 1e-12
+seed = 3
+[schedule]
+kind = constant
+alpha = 0.25, 0.75
+[initial]
+source = inline
+row.0 = 0.0
+row.1 = 0.5
+[monitors]
+energy = true
+"""
+ALPHA = "kind = constant\nalpha = 0.25, 0.75"
+
+# (find, replace with, the whole message of the ConfigError that FULL then raises);
+# a few edits make two faults, and pin which one is reported
+CONFIG_ERRORS = [
+    ("n = 2", "n = two", "<config>:1: n must be an integer, got 'two'"),
+    ("d = 1", "d = 1.0", "<config>:2: d must be an integer, got '1.0'"),
+    ("epsilon = 1.0", "epsilon = wide", "<config>:3: epsilon must be a number, got 'wide'"),
+    ("epsilon = 1.0", "epsilon = 0", "<config>:3: epsilon must be positive, got 0.0"),
+    ("epsilon = 1.0", "epsilon = nan", "<config>:3: epsilon must be positive, got nan"),
+    ("epsilon = 1.0\n", "", "<config>: missing required key 'epsilon'"),
+    ("n = 2\n", "", "<config>: missing required key 'n'"),
+    ("max_steps = 10", "max_steps = 0", "<config>:4: max_steps must be >= 1, got 0"),
+    ("max_steps = 10", "max_steps = ten",
+     "<config>:4: max_steps must be an integer, got 'ten'"),
+    ("consensus_tol = 1e-12", "consensus_tol = -1e-3",
+     "<config>:5: consensus_tol must be positive, got -0.001"),
+    ("consensus_tol = 1e-12", "consensus_tol = tiny",
+     "<config>:5: consensus_tol must be a number, got 'tiny'"),
+    ("seed = 3", "seed = 3.5", "<config>:6: seed must be an integer, got '3.5'"),
+    ("kind = constant", "kind = random",
+     "<config>:8: unknown schedule kind 'random'"),
+    ("kind = constant\n", "", "<config>: missing required key 'schedule.kind'"),
+    (ALPHA, "kind = constant", "<config>:8: constant schedule requires schedule.alpha"),
+    ("alpha = 0.25, 0.75", "alpha = 0.25, x",
+     "<config>:9: schedule.alpha must be a comma-separated list of numbers, "
+     "got '0.25, x'"),
+    ("alpha = 0.25, 0.75", "alpha = 0.25",
+     "<config>:9: schedule.alpha has 1 entries, expected n=2"),
+    ("alpha = 0.25, 0.75", "alpha = 0.25, 1.5",
+     "<config>:9: every stubbornness entry must lie in [0, 1]"),
+    ("alpha = 0.25, 0.75", "alpha = 0.25, nan",
+     "<config>:9: every stubbornness entry must lie in [0, 1]"),
+    ("alpha = 0.25, 0.75", "alpha = 0.5, 0.5, 2",
+     "<config>:9: schedule.alpha has 3 entries, expected n=2"),
+    (ALPHA, "kind = power_law\na = 1", "<config>:9: schedule.a must be > 1, got 1.0"),
+    (ALPHA, "kind = power_law\na = steep", "<config>:9: schedule.a must be a number, got 'steep'"),
+    (ALPHA, "kind = power_law", "<config>: missing required key 'schedule.a'"),
+    (ALPHA, "kind = table", "<config>:8: table schedule requires schedule.row.<t> entries"),
+    (ALPHA, "kind = table\nrow.0 = 0.5",
+     "<config>:9: table row has 1 entries, expected n=2"),
+    (ALPHA, "kind = table\nrow.0 = 0.5, 0.5\nrow.1 = -0.5, 0.5",
+     "<config>:10: every stubbornness entry must lie in [0, 1]"),
+    (ALPHA, "kind = table\nrow.1 = 0.5, 0.5\nrow.0 = 0.5",
+     "<config>:10: table row has 1 entries, expected n=2"),
+    (ALPHA, "kind = table\nrow.0 = 0.5, 0.5\nrow.2 = 0.5",
+     "<config>: schedule.row.1 is missing (rows must be contiguous from 0)"),
+    (ALPHA, "kind = table\nrow.0 = 0.5, 0.5\nrow.1 = 0.5; 0.5",
+     "<config>:10: schedule.row.1 must be a comma-separated list of numbers, "
+     "got '0.5; 0.5'"),
+    (ALPHA, "kind = asynchronous\nseed = x",
+     "<config>:9: schedule.seed must be an integer, got 'x'"),
+    (ALPHA, "kind = power_law\na = 2\nseed = 1", "<config>:10: unknown key 'schedule.seed'"),
+    ("row.1 = 0.5", "row.1 = 0.5, 0.5",
+     "<config>:13: initial row has 2 coordinates, expected d=1"),
+    ("row.1 = 0.5", "row.1 = 0.5\nrow.2 = 0.5, 1.0",
+     "<config>: initial has 3 inline rows, expected n=2"),
+    ("row.1 = 0.5", "row.2 = 0.5",
+     "<config>: initial.row.1 is missing (rows must be contiguous from 0)"),
+    ("row.1 = 0.5", "row.1 = half",
+     "<config>:13: initial.row.1 must be a comma-separated list of numbers, got 'half'"),
+    ("source = inline", "source = file",
+     "<config>: initial.source must be 'inline' or 'csv', got 'file'"),
+    ("source = inline\n", "", "<config>: missing required key 'initial.source'"),
+    ("energy = true", "energy = yes",
+     "<config>:15: monitors.energy must be true or false, got 'yes'"),
+    ("energy = true", "energy = true\nhull = 1",
+     "<config>:16: monitors.hull must be true or false, got '1'"),
+    ("energy = true", "sound = true", "<config>:15: unknown key 'monitors.sound'"),
+    ("energy = true", "energy = true\nenergy = false",
+     "<config>:16: duplicate key 'monitors.energy'"),
+    ("[monitors]", "[alarms]", "<config>:14: unknown section [alarms]"),
+    ("seed = 3", "seed 3", "<config>:6: expected 'key = value', got 'seed 3'"),
+]
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("find,new,message", CONFIG_ERRORS)
+    def test_message_and_line(self, find, new, message):
+        assert find in FULL
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(FULL.replace(find, new, 1))
+        assert str(info.value) == message
+
+    def test_full_parses(self):
+        cfg = parse_config_text(FULL)
+        assert (cfg.n, cfg.d, cfg.max_steps, cfg.seed) == (2, 1, 10, 3)
+        assert cfg.monitors == ("energy",)
+
+
+class TestMonitorFlags:
+    def test_every_flag_set_round_trips(self):
+        # every subset, the empty one included, comes back as written
+        base = parse_config_text(FULL)
+        for k in range(2 ** len(MONITOR_FLAGS)):
+            flags = tuple(f for b, f in enumerate(MONITOR_FLAGS) if k >> b & 1)
+            text = config_to_text(replace(base, monitors=flags))
+            assert parse_config_text(text).monitors == flags, text
+
+    def test_all_false_switches_monitoring_off(self):
+        off = "\n".join(f"{flag} = false" for flag in MONITOR_FLAGS)
+        assert parse_config_text(FULL.replace("energy = true", off)).monitors == ()
+        assert parse_config_text(FULL.replace("energy = true", "merge = false")).monitors == ()
+
+    def test_no_flag_keys_mean_the_defaults(self):
+        no_flags = FULL.replace("energy = true\n", "")
+        assert parse_config_text(no_flags).monitors == DEFAULT_MONITORS
+        assert parse_config_text(no_flags.replace("[monitors]\n", "")).monitors == \
+            DEFAULT_MONITORS
 
 
 class TestInitialCsv:
@@ -214,6 +345,26 @@ class TestTrajectoryPersistence:
         write_trajectory(traj, p1, fmt)
         write_trajectory(read_trajectory(p1), p2, fmt)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("sched", [
+        StubbornnessSchedule("synchronous"),
+        StubbornnessSchedule("asynchronous", seed=5),
+        StubbornnessSchedule("constant", alpha=[0.0, 0.3, 0.6, 0.9, 1.0]),
+        StubbornnessSchedule("power_law", exponent=2.5),
+        StubbornnessSchedule("table", table=([0.1] * 5, [0.2] * 5, [0.7] * 5)),
+    ], ids=lambda sched: sched.kind)
+    def test_every_schedule_kind_rewrites_byte_for_byte(self, tmp_path, fmt, sched):
+        # the CSV's .meta.json sidecar too: its header holds the schedule descriptor
+        rng = np.random.default_rng(41)
+        cfg = ModelConfig(initial=rng.normal(size=(5, 2)), epsilon=0.8, schedule=sched,
+                          max_steps=3, seed=2, monitors=("energy", "merge"))
+        first = write_trajectory(simulate(cfg), tmp_path / f"a.{fmt}", fmt)
+        again = write_trajectory(read_trajectory(first), tmp_path / f"b.{fmt}", fmt)
+        assert first.read_bytes() == again.read_bytes()
+        if fmt == "csv":
+            meta = tmp_path / "a.meta.json"
+            assert meta.read_bytes() == (tmp_path / "b.meta.json").read_bytes()
 
     def test_identical_configs_identical_files(self, tmp_path):
         t1, t2 = self._run(seed=7, kind="asynchronous"), self._run(seed=7, kind="asynchronous")
