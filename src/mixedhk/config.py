@@ -35,7 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DEFAULT_MONITORS, MONITOR_FLAGS, ModelConfig, StubbornnessSchedule
+from .dynamics import (DEFAULT_MONITORS, MONITOR_FLAGS, ModelConfig, OpinionState,
+                       StubbornnessSchedule)
 from .errors import ConfigError
 
 _ROW_RE = re.compile(r"^(schedule|initial)\.row\.(\d+)$")
@@ -194,9 +195,33 @@ def parse_config_text(text: str, path="<config>") -> ModelConfig:
         key, (_, line) = next(iter(entries.items()))
         raise ConfigError(f"unknown key {key!r}", path, line)
 
-    return ModelConfig(initial=initial, epsilon=epsilon, schedule=schedule,
-                       max_steps=max_steps, consensus_tol=consensus_tol,
-                       seed=seed, monitors=monitors)
+    try:
+        return ModelConfig(initial=initial, epsilon=epsilon, schedule=schedule,
+                           max_steps=max_steps, consensus_tol=consensus_tol,
+                           seed=seed, monitors=monitors)
+    except ValueError as exc:  # the state validator's: name the key it rejected
+        raise ConfigError(str(exc), path, _rejected_line(text, path, initial, epsilon)) from None
+
+
+def _rejected_line(text: str, path, initial: np.ndarray, epsilon: float) -> int:
+    """The line of the key whose value the state validator rejected in a
+    config whose every value converted: ``n`` when there are no opinions,
+    the first inline row holding a non-finite opinion, ``epsilon`` when it
+    is out of range for n agents, else the inline row holding the largest
+    opinion (the opinions are too far apart). Opinions read from a CSV file
+    are named by the ``initial.path`` line."""
+    lines = {key: line for key, (_, line) in _parse_lines(text, path).items()}
+    row = "initial.path" if "initial.path" in lines else "initial.row.{}"
+    if initial.ndim != 2 or 0 in initial.shape:
+        return lines["n"]
+    bad = np.flatnonzero(~np.isfinite(initial).all(axis=1))
+    if bad.size:
+        return lines[row.format(bad[0])]
+    try:
+        OpinionState(0, np.zeros((initial.shape[0], 1)), epsilon)
+    except ValueError:
+        return lines["epsilon"]
+    return lines[row.format(np.abs(initial).max(axis=1).argmax())]
 
 
 def parse_config(path) -> ModelConfig:

@@ -336,6 +336,9 @@ def neighbor_means(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     count.
     """
     k, n = rows.shape
+    if k == 1:  # one mover, as in every asynchronous step: its neighbors in one gather
+        cols = np.flatnonzero(rows)
+        return np.add.accumulate(x[cols], axis=0)[-1:] / len(cols)
     # the flat nonzero of a row-major block lists row by row, each row's
     # neighbors ascending (and is several times faster than a 2-D nonzero)
     row_of, cols = np.divmod(np.flatnonzero(rows), n)
@@ -351,7 +354,8 @@ def neighbor_means(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return sums / counts[:, None]
 
 
-def step(state: OpinionState, alpha: np.ndarray, *, profile=None) -> OpinionState:
+def step(state: OpinionState, alpha: np.ndarray, *, profile=None,
+         checked: bool = True) -> OpinionState:
     """Advance the dynamics one step under stubbornness vector alpha.
 
     Every new opinion lies in the convex hull of the agent's neighbors'
@@ -362,11 +366,19 @@ def step(state: OpinionState, alpha: np.ndarray, *, profile=None) -> OpinionStat
     its movers cost. ``profile`` is the state's analysis (a
     ``profile.StateAnalysis``) when the caller already has it: its ``mask``
     and ``degrees`` are read instead of computed.
+
+    With ``checked`` false the caller vouches that ``alpha`` is a valid
+    stubbornness vector for the state (``simulate`` takes it from a
+    validated schedule), and neither it nor the new state is validated.
+    The new state needs no check: each new opinion is a convex combination
+    of finite opinions of the valid ``state``, so it is finite and the
+    coordinate ranges do not grow.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (state.n,):
-        raise ConfigError(f"alpha has shape {alpha.shape}, expected ({state.n},)")
-    _check_alpha(alpha)
+    if checked:
+        alpha = np.asarray(alpha, dtype=np.float64)
+        if alpha.shape != (state.n,):
+            raise ConfigError(f"alpha has shape {alpha.shape}, expected ({state.n},)")
+        _check_alpha(alpha)
     mask = neighbor_matrix(state) if profile is None else profile.mask
     degrees = mask.sum(axis=1) if profile is None else profile.degrees
     movers = np.flatnonzero((alpha != 1.0) & (degrees > 1))
@@ -375,4 +387,9 @@ def step(state: OpinionState, alpha: np.ndarray, *, profile=None) -> OpinionStat
     new_x = state.x.copy()
     # 0*x + 1*mean would turn a -0.0 mean into +0.0, so adopters take the mean as is
     new_x[movers] = np.where(a == 0.0, means, a * state.x[movers] + (1.0 - a) * means)
-    return OpinionState(state.t + 1, new_x, state.epsilon)
+    if checked:
+        return OpinionState(state.t + 1, new_x, state.epsilon)
+    derived = object.__new__(OpinionState)
+    for name, value in (("t", state.t + 1), ("x", new_x), ("epsilon", state.epsilon)):
+        object.__setattr__(derived, name, value)
+    return derived

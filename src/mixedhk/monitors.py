@@ -18,10 +18,11 @@ Where a statement is asymptotic, the monitor evaluates a finite-horizon
 surrogate and says so; a verdict here is evidence, not proof.
 
 A ``Checker`` is the one verification engine, pushed each transition as
-alpha(t) and both states' analyses. ``push`` settles every violation
-counter of its step and returns the step's record (a plain dict;
-``simulate``'s ``[monitors]`` records come from the same function), and
-``report``, or ``check_trajectory`` over stored states, aggregates them.
+alpha(t) and both states' analyses. It buffers its steps and settles a
+block of them at a time with one function, ``_settle_steps``, which makes
+each step's record (a plain dict; ``simulate``'s ``[monitors]`` records
+are a checker's records) and its violation counts; ``report``, or
+``check_trajectory`` over stored states, aggregates them.
 ``interaction_equivalence`` and ``consensus_envelope_check`` read one such
 pass for data the report does not hold.
 """
@@ -34,7 +35,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import IntegrityError
-from .profile import HullBuffer, StateAnalysis, analyze_state, detect_merge_events, neighbor_spread
+from .profile import (HullBuffer, StateAnalysis, analyze_state, detect_merge_events, geometry_block,
+                      neighbor_spread, settle_geometry)
 from .trajectory import Trajectory
 
 ENERGY_SLACK = 1e-9  # relative to n^2 eps^2
@@ -70,47 +72,6 @@ def _interact(now: StateAnalysis, nxt: StateAnalysis) -> bool:
     if nxt.labels is now.labels:
         return False
     return bool((nxt.mask & (now.labels[:, None] != now.labels[None, :])).any())
-
-
-def _step_record(alpha: np.ndarray, now: StateAnalysis, nxt: StateAnalysis, *,
-                 interaction: bool, hull: bool) -> dict:
-    """The record of step t -> t+1, from the analyses of both states.
-
-    Energy descent: the capped energy Z must drop by at least
-    4 * sum_i c_i ||x_i(t) - x_i(t+1)||^2, where c_i = 1 + |N_i| alpha_i /
-    (1 - alpha_i) for alpha_i < 1 and plain 1 at alpha_i = 1 (where the
-    displacement is identically zero anyway). Contraction: on an
-    epsilon-trivial profile diam(t+1) <= beta * diam(t), with beta the
-    ``contraction_coefficient``; non-expansion diam(t+1) <= diam(t) always.
-    ``interaction`` adds whether components of the current profile interact
-    at the next step, ``hull`` whether every new opinion lies within
-    ``HULL_TOL`` of its neighbors' hull; each is None when not asked for.
-    """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    disp_sq = ((nxt.x - now.x) ** 2).sum(axis=1)
-    ratio = np.divide(alpha, 1.0 - alpha, out=np.zeros(now.n), where=alpha < 1.0)
-    bound = float(4.0 * ((1.0 + now.degrees * ratio) * disp_sq).sum())
-    drop = now.energy - nxt.energy
-    d_before, d_after = now.diameter, nxt.diameter
-    trivial = now.n >= 2 and d_before <= now.epsilon
-    beta = contraction_coefficient(alpha) if trivial else None
-    return {
-        "t": now.t,
-        "energy": now.energy,
-        "energy_next": nxt.energy,
-        "energy_drop": drop,
-        "energy_drop_bound": bound,
-        "energy_ok": drop >= bound - ENERGY_SLACK * now.n**2 * now.epsilon**2,
-        "contraction_coeff": beta,
-        "diam_global": d_before,
-        "diam_per_component": list(now.component_diameters),
-        "displacement_sq": disp_sq.tolist(),
-        "epsilon_trivial": trivial,
-        "contraction_ok": d_after <= beta * d_before + DIAM_SLACK if trivial else None,
-        "nonexpansion_ok": d_after <= d_before + DIAM_SLACK,
-        "interaction": _interact(now, nxt) if interaction else None,
-        "hull_ok": HullBuffer().add(0, now, nxt.x).count_over(HULL_TOL) == 0 if hull else None,
-    }
 
 
 def consensus_envelope_check(traj: Trajectory, beta_cap: float) -> dict:
@@ -155,21 +116,6 @@ def consensus_envelope_check(traj: Trajectory, beta_cap: float) -> dict:
         "power_envelope_ok": power_ok,
         "final_diameter": diams[-1],
     }
-
-
-def _floor(alpha: np.ndarray, delta: float, move: np.ndarray, trivial: bool) -> bool:
-    """True iff the step violates sum_i ||move_i||^2 > 2 delta^2 (1 - max
-    alpha)^2 / n^8, for ``move`` = x(t+1) - x(t). The floor applies whenever
-    some component of the current profile is delta-nontrivial (``trivial``
-    is false) and every stubbornness entry is below one: restricting to a
-    delta-nontrivial component reduces to the connected case, and both the
-    component size and its maximum stubbornness only tighten the bound.
-    """
-    if trivial or (alpha >= 1.0).any():
-        return False
-    lhs = float((move ** 2).sum())
-    floor = 2.0 * delta**2 * (1.0 - float(alpha.max())) ** 2 / move.shape[0]**8
-    return not lhs > floor * (1.0 - 1e-9)
 
 
 def settling_bounds(n: int, epsilon: float, delta: float, sup_alpha: float) -> tuple[float, float]:
@@ -238,26 +184,145 @@ def _interaction_times(epsilon: float, comp_cache: list, m_max: int = 64) -> lis
     return times
 
 
+def hull_ok(now: StateAnalysis, next_x: np.ndarray) -> bool:
+    """True iff every new opinion ``next_x`` lies within ``HULL_TOL`` of its
+    neighbors' hull in the state analysed by ``now``."""
+    return HullBuffer().add(0, now, next_x).count_over(HULL_TOL) == 0
+
+
+def _settle_steps(alphas: np.ndarray, nows: list, nxts: list, delta: float) -> dict:
+    """Verify a block of B steps at once: step k goes from the state
+    analysed by ``nows[k]`` to the one analysed by ``nxts[k]`` under
+    ``alphas[k]`` (a (B, n) stack).
+
+    Returns the step ``records`` (the dicts described below), the block's
+    violation ``counts`` (all but the equivalence count), the
+    ``equivalence`` records (one at each step whose current components are
+    all delta-trivial) and each step's budget ``terms`` (a (B, n) array).
+
+    Energy descent: the capped energy Z must drop by at least
+    4 * sum_i c_i ||x_i(t) - x_i(t+1)||^2, where c_i = 1 + |N_i| alpha_i /
+    (1 - alpha_i) for alpha_i < 1 and plain 1 at alpha_i = 1 (where the
+    displacement is identically zero anyway). Contraction: on an
+    epsilon-trivial profile diam(t+1) <= beta * diam(t), with beta the
+    ``contraction_coefficient``; non-expansion diam(t+1) <= diam(t) always.
+    A record's ``interaction`` says whether components of the current
+    profile interact at the next step; its ``hull_ok`` is None.
+
+    Displacement floor: the step violates it unless sum_i ||move_i||^2 >
+    2 delta^2 (1 - max alpha)^2 / n^8, for move = x(t+1) - x(t). The floor
+    applies whenever some component of the current profile is
+    delta-nontrivial and every stubbornness entry is below one:
+    restricting to a delta-nontrivial component reduces to the connected
+    case, and both the component size and its maximum stubbornness only
+    tighten the bound.
+
+    Every value is computed for the whole block in one array expression
+    whose per-step part adds in the order a single step's expression
+    does, so each has the bits of its one-step evaluation.
+    """
+    B, n = alphas.shape
+    eps = nows[0].epsilon
+    # pushed in a run's order, step k + 1 starts where step k ended
+    chained = all(a is b for a, b in zip(nows[1:], nxts))
+    states = nows + nxts[-1:] if chained else nows + nxts
+    comps, diameters, energies = settle_geometry(states)
+    widest = np.array([max(c) for c in comps])
+    x = np.array([a.x for a in states])
+    later = slice(1, None) if chained else slice(B, None)
+    d_now, d_next = diameters[:B], diameters[later]
+    e_now, e_next = energies[:B], energies[later]
+    widest, widest_next = widest[:B], widest[later]
+    x_now = x[:B]
+    move = x[later] - x_now
+    degrees = np.array([a.degrees for a in nows])
+
+    disp_sq = (move ** 2).sum(axis=2)
+    ratio = np.divide(alphas, 1.0 - alphas, out=np.zeros((B, n)), where=alphas < 1.0)
+    bound = 4.0 * ((1.0 + degrees * ratio) * disp_sq).sum(axis=1)
+    drop = e_now - e_next
+    energy_ok = drop >= bound - ENERGY_SLACK * n**2 * eps**2
+    trivial = d_now <= eps if n >= 2 else np.zeros(B, dtype=bool)
+    beta = np.zeros(B)
+    if n >= 2:
+        a2, a1 = np.sort(alphas, axis=1)[:, -2:].T
+        beta = a1 - (a1 - a2) / n
+    contraction_ok = d_next <= beta * d_now + DIAM_SLACK
+    nonexpansion_ok = d_next <= d_now + DIAM_SLACK
+    interaction = [_interact(now, nxt) for now, nxt in zip(nows, nxts)]
+    records = [
+        {"t": now.t, "energy": en, "energy_next": enx, "energy_drop": dr,
+         "energy_drop_bound": bd, "energy_ok": ok, "contraction_coeff": bt if tv else None,
+         "diam_global": dn, "diam_per_component": list(comp),
+         "displacement_sq": sq, "epsilon_trivial": tv, "contraction_ok": cok if tv else None,
+         "nonexpansion_ok": nok, "interaction": it, "hull_ok": None}
+        for now, comp, en, enx, dr, bd, ok, bt, dn, sq, tv, cok, nok, it in zip(
+            nows, comps, e_now.tolist(), e_next.tolist(), drop.tolist(), bound.tolist(),
+            energy_ok.tolist(), beta.tolist(), d_now.tolist(), disp_sq.tolist(),
+            trivial.tolist(), contraction_ok.tolist(), nonexpansion_ok.tolist(), interaction)]
+
+    delta_trivial = widest <= delta
+    floor_applies = ~delta_trivial & ~(alphas >= 1.0).any(axis=1)
+    floor_fails = 0
+    if floor_applies.any():
+        k = floor_applies.sum()
+        lhs = (move[floor_applies] ** 2).reshape(k, -1).sum(axis=1)
+        floor = 2.0 * delta**2 * (1.0 - alphas[floor_applies].max(axis=1)) ** 2 / float(n**8)
+        floor_fails = int(k - np.count_nonzero(lhs > floor * (1.0 - 1e-9)))
+
+    equivalence = [
+        {"t": nows[k].t, "next_nontrivial": c1, "interaction": interaction[k],
+         "half_eps_nontrivial": c3, "equivalent": c1 == interaction[k] == c3}
+        for k, c1, c3 in zip(np.flatnonzero(delta_trivial).tolist(),
+                             (widest_next[delta_trivial] > delta).tolist(),
+                             (widest_next[delta_trivial] > eps / 2.0).tolist())]
+
+    # spreads of the agents with alpha_i < 1 only; the others' terms stay +0.0
+    steps, agents = np.nonzero(alphas < 1.0)
+    masks = np.array([a.mask for a in nows])
+    spread = np.zeros((B, n))
+    spread[steps, agents] = neighbor_spread(x_now.reshape(B * n, -1), masks[steps, agents],
+                                            steps * n + agents)
+    terms = (1.0 - alphas) * (1.0 - 1.0 / degrees) * spread
+    # the per-row dot product that np.linalg.norm takes of one move
+    movement = np.sqrt(np.matmul(move[..., None, :], move[..., :, None])[..., 0, 0])
+    counts = {
+        "energy_descent": B - int(np.count_nonzero(energy_ok)),
+        "contraction": int(np.count_nonzero(trivial & ~contraction_ok)),
+        "nonexpansion": B - int(np.count_nonzero(nonexpansion_ok)),
+        "movement_bound": B * n - int(np.count_nonzero(movement <= terms + DIAM_SLACK)),
+        "displacement_floor": floor_fails,
+    }
+    return {"records": records, "counts": counts, "equivalence": equivalence, "terms": terms}
+
+
 class Checker:
     """Streaming verification: every monitor of ``check_trajectory``, fed one
     transition at a time, so a run can be checked while it is simulated.
 
-    ``push`` takes alpha(t) and the analyses of the step's two states;
-    ``report`` builds the check report. Of the analyses the checker keeps
-    only the latest, so with the caller's next one at most two n-by-n masks
-    are alive, and its hull buffer holds at most ``HULL_BUFFER_BYTES`` plus
-    one step's vertex sets. ``push`` settles every violation counter of its
-    step, and ``report`` only aggregates. Besides the counters the checker
-    keeps each agent's movement budget and O(n) values per step: the step's
-    record (whose component diameters give the settling and first-interaction
-    times) and its equivalence record when it has one (``equivalence``, None
-    when delta > epsilon/4). ``delta`` defaults to epsilon/4.
+    ``push`` takes alpha(t) and the analyses of the step's two states, and
+    buffers them. The buffer settles, in one ``_settle_steps`` call over
+    its block of steps, once its steps' (B, n, n) squared-distance stack
+    reaches ``MASK_BLOCK_BYTES`` (at least one step; B = 72 at n = 30), and
+    before any read of ``violations``, ``equivalence``, ``records``,
+    ``verdict`` or ``report``. So the checker holds at most one block of
+    analyses, each with its n-by-n mask and, when the state fits one mask
+    block, its squared-distance matrix, which the block's geometry is
+    computed from (``profile.settle_geometry``), and its hull buffer holds
+    at most ``HULL_BUFFER_BYTES`` plus one step's vertex sets. A block's
+    size changes no value: each is computed as one step's would be.
+    ``report`` only aggregates. Besides the counters the checker keeps each
+    agent's movement budget and O(n) values per step: the step's record
+    (whose component diameters give the settling and first-interaction
+    times) and its equivalence record when it has one (``equivalence``,
+    None when delta > epsilon/4). ``delta`` defaults to epsilon/4.
 
     Agent i's budget is the running sum of its terms (1 - a_i(t))
     (1 - 1/|N_i(t)|) max_{j in N_i} dist(i, j), and each step's
     ||x_i(t) - x_i(t+1)|| <= term is checked with 1e-12 slack (a NaN fails
     it). Spreads are computed for agents with alpha_i < 1 only; the others'
-    term (1 - 1) c s is +0.0 whatever their spread, so they keep 0.
+    term (1 - 1) c s is +0.0 whatever their spread, so they keep 0. The
+    sums run along time with ``np.add.accumulate``, step after step.
 
     With ``hull`` on, ``push`` adds the step's hull problems to a
     ``profile.HullBuffer`` instead of solving them. ``profile.hull_strays``
@@ -277,67 +342,71 @@ class Checker:
         self._violations = {"energy_descent": 0, "contraction": 0, "nonexpansion": 0,
                             "movement_bound": 0, "equivalence": 0, "hull": 0,
                             "displacement_floor": 0}
-        self.equivalence: Optional[list] = [] if self.delta <= epsilon / 4.0 else None
+        self._equivalence: Optional[list] = [] if self.delta <= epsilon / 4.0 else None
         self._records = []
         self._partial_sums: Optional[np.ndarray] = None
+        self._pending = []  # (alpha, now, nxt) of the steps not settled yet
         self._last: Optional[StateAnalysis] = None
         self._hull = HullBuffer()
+
+    def push(self, alpha: np.ndarray, now: StateAnalysis, nxt: StateAnalysis) -> None:
+        """Verify the step from the state analysed by ``now`` to the one
+        analysed by ``nxt`` under ``alpha``: buffer it, and settle the
+        buffer when it is full."""
+        self._pending.append((np.asarray(alpha, dtype=np.float64), now, nxt))
+        if self.hull:
+            self._hull.add(len(self._records) + len(self._pending) - 1, now, nxt.x)
+            if self._hull.nbytes >= HULL_BUFFER_BYTES:
+                self._violations["hull"] += self._hull.count_over(HULL_TOL)
+        self._last = nxt
+        if len(self._pending) >= max(1, geometry_block(now.n)):
+            self._settle()
+
+    def _settle(self):
+        """Verify every buffered step, in one block."""
+        if not self._pending:
+            return
+        pending, self._pending = self._pending, []
+        alphas = np.array([alpha for alpha, _, _ in pending])
+        block = _settle_steps(alphas, [now for _, now, _ in pending],
+                              [nxt for _, _, nxt in pending], self.delta)
+        for key, count in block["counts"].items():
+            self._violations[key] += count
+        self._records += block["records"]
+        if self._equivalence is not None:
+            self._equivalence += block["equivalence"]
+            self._violations["equivalence"] += sum(not r["equivalent"] for r in block["equivalence"])
+        terms = block["terms"]
+        if self._partial_sums is not None:
+            terms[0] = self._partial_sums + terms[0]
+        self._partial_sums = np.add.accumulate(terms, axis=0)[-1]
 
     @property
     def violations(self) -> dict:
         """The violation counters of the pushed steps."""
+        self._settle()
         if self._hull.nbytes:
             self._violations["hull"] += self._hull.count_over(HULL_TOL)
         return self._violations
 
-    def push(self, alpha: np.ndarray, now: StateAnalysis, nxt: StateAnalysis) -> dict:
-        """Verify the step from the state analysed by ``now`` to the one
-        analysed by ``nxt`` under ``alpha``; returns the step's record.
+    @property
+    def equivalence(self) -> Optional[list]:
+        """The equivalence records of the pushed steps (None when delta > epsilon/4)."""
+        self._settle()
+        return self._equivalence
 
-        The returned record is the one the report's ``per_step`` holds:
-        read it, do not change it."""
-        alpha = np.asarray(alpha, dtype=np.float64)
-        record = _step_record(alpha, now, nxt, interaction=True, hull=False)
-        v = self._violations
-        v["energy_descent"] += not record["energy_ok"]
-        v["contraction"] += record["contraction_ok"] is False
-        v["nonexpansion"] += not record["nonexpansion_ok"]
-        move = nxt.x - now.x
-        trivial = now.components_within(self.delta)
-        v["displacement_floor"] += _floor(alpha, self.delta, move, trivial)
-        if self.hull:
-            self._hull.add(len(self._records), now, nxt.x)
-            if self._hull.nbytes >= HULL_BUFFER_BYTES:
-                v["hull"] += self._hull.count_over(HULL_TOL)
-        if self.equivalence is not None and trivial:
-            # interaction_equivalence's three conditions; (2) is the record's
-            c1 = any(dm > self.delta for dm in nxt.component_diameters)
-            c2 = record["interaction"]
-            c3 = any(dm > now.epsilon / 2.0 for dm in nxt.component_diameters)
-            equivalent = c1 == c2 == c3
-            self.equivalence.append({"t": now.t, "next_nontrivial": c1, "interaction": c2,
-                                     "half_eps_nontrivial": c3, "equivalent": equivalent})
-            v["equivalence"] += not equivalent
-        self._records.append(record)
-        movable = np.flatnonzero(alpha < 1.0)
-        spread = np.zeros(now.n)
-        spread[movable] = neighbor_spread(now.x, now.mask[movable], movable)
-        terms = (1.0 - alpha) * (1.0 - 1.0 / now.degrees) * spread
-        # the per-row dot product that np.linalg.norm takes of one move
-        movement = np.sqrt(np.matmul(move[:, None, :], move[:, :, None])[:, 0, 0])
-        v["movement_bound"] += now.n - int(np.count_nonzero(movement <= terms + DIAM_SLACK))
-        sums = self._partial_sums
-        self._partial_sums = terms if sums is None else sums + terms
-        self._last = nxt
-        return record
+    @property
+    def records(self) -> list:
+        """The records of the pushed steps, one per step: read them, do not
+        change them."""
+        self._settle()
+        return self._records
 
-    def _final(self, traj: Trajectory) -> tuple[StateAnalysis, list]:
+    def _final(self, traj: Trajectory) -> StateAnalysis:
         """The analysis of the last pushed state (of state 0 when nothing
-        was pushed), and the component diameters of every state."""
-        last = self._last
-        if last is None:  # a lone state, no transition
-            last = analyze_state(traj.state_at(0))
-        return last, [r["diam_per_component"] for r in self._records] + [last.component_diameters]
+        was pushed), with every pushed step settled."""
+        self._settle()
+        return analyze_state(traj.state_at(0)) if self._last is None else self._last
 
     def verdict(self, traj: Trajectory) -> dict:
         """The run-level verdict of ``traj``, whose every transition was
@@ -346,12 +415,14 @@ class Checker:
         whether the last state reached consensus, and its diameter. These
         are the values of ``report`` that batch summaries hold; no merge
         events are detected."""
-        last, diameters = self._final(traj)
+        last = self._final(traj)
         violations = dict(self.violations)
+        diameters = [r["diam_per_component"] for r in self._records] + [last.component_diameters]
         tau = next((t for t, diams in enumerate(diameters)
                     if all(dm <= self.delta for dm in diams)), None)
         return {"violations": violations, "total_violations": sum(violations.values()),
-                "tau_delta": tau, "consensus_reached": last.components_within(traj.consensus_tol),
+                "tau_delta": tau,
+                "consensus_reached": last.components_within(traj.consensus_tol),
                 "final_diameter": last.diameter}
 
     def report(self, traj: Trajectory) -> dict:
@@ -360,7 +431,8 @@ class Checker:
         each agent's movement budget (``partial_sums``), and the
         first-interaction surrogate (``interaction_times``)."""
         verdict = self.verdict(traj)
-        _, diameters = self._final(traj)
+        last = self._final(traj)
+        diameters = [r["diam_per_component"] for r in self._records] + [last.component_diameters]
         delta = self.delta
         sums = self._partial_sums
         violations = verdict["violations"]
@@ -396,7 +468,7 @@ class Checker:
 
 def _checked(traj: Trajectory, delta: Optional[float], *, hull: bool) -> Checker:
     """A ``Checker`` fed every stored transition of ``traj`` in one pass,
-    holding two analyses at a time: the one loop over stored states."""
+    each state analysed once: the one loop over stored states."""
     if not traj.states:
         raise IntegrityError("the trajectory has no states to check")
     checker = Checker(traj.epsilon, delta, hull=hull)

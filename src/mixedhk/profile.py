@@ -8,15 +8,19 @@ dicts that check reports and trajectory sidecars hold.
 
 One ``StateAnalysis`` per state holds everything the monitors read off it:
 the neighbor mask, degrees and component labels, and the component
-diameters, the state's diameter and the capped energy. When the state fits
-one mask block, all of them come from that block, the whole squared-distance
-matrix. Above one block the geometry is computed on first read, from a
-single ``squared_distances`` call, so a run that reads only the mask and
-its consensus test builds no n-by-n float matrix: the mask is computed in
-row blocks, and ``components_within`` rejects most states from one
-distance per agent. Each of these values equals, bit for bit, what its
-single-purpose routine computes (``neighbor_matrix`` and its row sums,
-``diameter``, ``capped_energy`` of ``squared_distances``). A
+diameters, the state's diameter and the capped energy. The mask, degrees
+and labels are computed when the analysis is made, the mask in row
+blocks, so a run that reads only the mask and its consensus test
+(``components_within`` rejects most states from one distance per agent)
+computes no geometry. The geometry is computed on first read by one
+kernel, ``block_geometry``, over a (B, n, n) stack of squared-distance
+matrices: for one state, or for the block of states a ``Checker`` settles
+at once (``settle_geometry``). A state that fits one mask block keeps its
+squared-distance matrix, the mask's one block, for that kernel, so no
+distance is computed twice. Each of these values equals, bit for bit,
+what its single-purpose routine computes (``neighbor_matrix`` and its row
+sums, ``diameter``, and for the energy one sum of the capped
+``squared_distances``). A
 ``StateAnalysis`` is a ``Profile``: the mask is the only form in which a
 profile graph is held. The independent pure-Python edge and merge-detection
 routes, the eager analysis, the per-agent hull check and a scalar Wolfe
@@ -32,6 +36,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import OpinionState, _neighbor_mask, squared_distances
 from .errors import NumericalFailure
 from .wolfe import MAX_ITER, min_norm_distances
@@ -121,24 +126,28 @@ class StateAnalysis(Profile):
     each computed at most once.
 
     The neighbor mask, degrees and component labels are computed when the
-    analysis is made. So is the geometry (``component_diameters``,
-    ``diameter`` and ``energy``) when the state fits one mask block, from
-    that block, which is the whole squared-distance matrix. Above one block
-    the geometry is computed on first read, all three from one
-    ``squared_distances`` call. No matrix is kept. Each value equals, bit
-    for bit, what the single-purpose routine computes (``neighbor_matrix``,
-    ``diameter`` of the state and of each component, ``capped_energy``).
+    analysis is made. The geometry (``component_diameters``, ``diameter``
+    and ``energy``) is computed on first read by ``block_geometry``, for
+    this state alone, or for a block of states at once when a ``Checker``
+    settles its buffered steps (``settle_geometry``). When the state fits
+    one mask block, its squared-distance matrix, which the mask came from,
+    is kept until then, so no distance is computed twice; once the geometry
+    is known the matrix is dropped. Each value equals, bit for bit, what the
+    single-purpose routine computes (``neighbor_matrix``, ``diameter`` of
+    the state and of each component, and one sum of the capped
+    ``squared_distances``).
     """
 
     x: np.ndarray  # the state's opinions (the same array, not a copy)
     epsilon: float
     # (component diameters, diameter, energy), or None until first read
     _geometry: Optional[tuple] = field(default=None, repr=False)
+    # the squared-distance matrix, kept from the mask until the geometry is read
+    _d2: Optional[np.ndarray] = field(default=None, repr=False)
 
     def _read_geometry(self) -> tuple:
         if self._geometry is None:
-            object.__setattr__(self, "_geometry", _state_geometry(
-                squared_distances(self.x), self.labels, self.epsilon))
+            settle_geometry([self])
         return self._geometry
 
     @property
@@ -166,47 +175,97 @@ class StateAnalysis(Profile):
         When they are known already, they decide at once.
         """
         if self._geometry is None:
-            _, first = np.unique(self.labels, return_index=True)
-            offsets = self.x - self.x[first[self.labels]]
+            offsets = self.x - self.x[first_members(self.labels)]
             dist2 = offsets[:, 0] ** 2
             for k in range(1, offsets.shape[1]):
                 dist2 = dist2 + offsets[:, k] ** 2
-            if np.any(np.sqrt(dist2) > tol):
+            if (np.sqrt(dist2) > tol).any():
                 return False
         return all(dm <= tol for dm in self.component_diameters)
 
 
-def _state_geometry(d2: np.ndarray, labels: np.ndarray, epsilon: float) -> tuple:
-    """(component diameters, diameter, capped energy) of a state, from its
-    squared-distance matrix ``d2`` (capped in place) and component labels.
+def first_members(labels: np.ndarray) -> np.ndarray:
+    """The index of each agent's component's first member, from component
+    labels numbered by first member. The running maximum of such labels
+    rises exactly at each first member, so label c's first member is the
+    first index where it reaches c."""
+    return np.maximum.accumulate(labels).searchsorted(labels)
+
+
+def block_geometry(d2: np.ndarray, labels: np.ndarray, epsilon: float) -> tuple:
+    """The geometry of B states from their stacked squared-distance
+    matrices ``d2`` (B, n, n), capped in place, and component labels
+    ``labels`` (B, n): each state's component diameters, as a (B, n) array
+    whose first 1 + max(label) entries of a row are the state's diameters
+    in label order (the rest 0.0), and each state's diameter and capped
+    energy, as (B,) arrays.
 
     A component's diameter is the square root of the largest squared
-    distance inside its block, which is what ``diameter`` computes on the
-    component's points.
+    distance inside its block of the matrix, which is what ``diameter``
+    computes on the component's points. The capped energy of a state, the
+    sum over ordered pairs of min(dist^2, eps^2), is one ``sum`` over its
+    row of ``d2.reshape(B, n*n)``, which adds the n*n entries in the order
+    a ``sum`` of the state's own capped matrix does.
     """
-    row_max = np.max(d2, axis=1, where=labels[:, None] == labels[None, :], initial=0.0)
-    block_max = np.zeros(int(labels.max()) + 1)
-    np.maximum.at(block_max, labels, row_max)
-    diam = float(np.sqrt(d2.max()))
-    return np.sqrt(block_max).tolist(), diam, capped_energy(d2, epsilon)
+    B, n = labels.shape
+    # the maxima down each column: the row maxima, as both operands are
+    # symmetric, in a reduction that runs along the contiguous rows
+    row_max = np.max(d2, axis=1, where=labels[:, :, None] == labels[:, None, :], initial=0.0)
+    block_max = np.zeros(B * n)
+    np.maximum.at(block_max, (labels + n * np.arange(B)[:, None]).ravel(), row_max.ravel())
+    flat = d2.reshape(B, n * n)
+    diameters = np.sqrt(flat.max(axis=1))
+    energies = np.minimum(flat, epsilon * epsilon, out=flat).sum(axis=1)
+    return np.sqrt(block_max).reshape(B, n), diameters, energies
 
 
-def capped_energy(d2: np.ndarray, epsilon: float) -> float:
-    """Capped pairwise energy from squared distances: the sum over ordered
-    pairs of min(dist^2, eps^2). Caps ``d2`` in place."""
-    return float(np.minimum(d2, epsilon * epsilon, out=d2).sum())
+def settle_geometry(analyses: list) -> tuple:
+    """The geometry of every analysis in ``analyses`` (all of states with
+    the same epsilon and number of agents): a list of each one's component
+    diameters, and arrays of their diameters and energies. Those that have
+    no geometry yet get it from one ``block_geometry`` call over their
+    stacked squared-distance matrices: the kept ones, else one
+    ``squared_distances`` call each."""
+    todo = list({id(a): a for a in analyses if a._geometry is None}.values())
+    if todo:
+        n = todo[0].n
+        d2 = np.empty((len(todo), n, n)) if len(todo) > 1 else None
+        for k, a in enumerate(todo):
+            matrix = squared_distances(a.x) if a._d2 is None else a._d2
+            # each kept matrix is let go once copied, so the block is held about once
+            object.__setattr__(a, "_d2", None)
+            if d2 is None:
+                d2 = matrix[None]
+            else:
+                d2[k] = matrix
+        labels = np.array([a.labels for a in todo])
+        comps, diameters, energies = block_geometry(d2, labels, todo[0].epsilon)
+        for a, row, k, diam, energy in zip(todo, comps.tolist(), (labels.max(axis=1) + 1).tolist(),
+                                           diameters.tolist(), energies.tolist()):
+            object.__setattr__(a, "_geometry", (row[:k], diam, energy))
+    geometry = [a._geometry for a in analyses]
+    return ([g[0] for g in geometry], np.array([g[1] for g in geometry]),
+            np.array([g[2] for g in geometry]))
 
 
 def neighbor_spread(x: np.ndarray, rows: np.ndarray, agents: np.ndarray) -> np.ndarray:
     """Largest distance from each of ``agents`` to one of its neighbors;
     ``rows`` holds those agents' rows of the neighbor mask.
 
+    ``x`` holds one state's opinions, or the opinions of several states of
+    n = ``rows.shape[1]`` agents stacked as (B*n, d); an agent's index then
+    counts from the first state's first agent, and its neighbors are read
+    from its own state.
+
     Each squared distance is the row sum of squared coordinate differences,
     as in the per-agent movement-budget formula; at d >= 8 numpy's pairwise
     summation can order that sum differently from ``squared_distances``.
     """
-    k, cols = np.nonzero(rows)
-    diffs = x[cols] - x[agents[k]]
+    n = rows.shape[1]
+    # the flat nonzero of a row-major block, several times faster than a 2-D one
+    k, cols = np.divmod(np.flatnonzero(rows), n)
+    owners = agents[k]
+    diffs = x[cols + (owners - owners % n)] - x[owners]
     spread2 = np.zeros(len(agents))
     np.maximum.at(spread2, k, (diffs * diffs).sum(axis=1))
     return np.sqrt(spread2)
@@ -215,8 +274,9 @@ def neighbor_spread(x: np.ndarray, rows: np.ndarray, agents: np.ndarray) -> np.n
 def analyze_state(state: OpinionState, previous: Optional[StateAnalysis] = None) -> StateAnalysis:
     """Analyze one state: its neighbor mask (built in row blocks, as
     ``neighbor_matrix`` builds it), degrees and component labels now, and
-    its geometry from a single ``squared_distances`` call at most: now, from
-    the mask's block, when the state fits one block, else on first read.
+    its geometry on first read. When the state fits one mask block, the
+    mask's block, the whole squared-distance matrix, is kept for the
+    geometry.
 
     ``previous`` is another state's analysis, in practice the one before:
     when its neighbor mask equals this state's, its component labels are
@@ -226,14 +286,18 @@ def analyze_state(state: OpinionState, previous: Optional[StateAnalysis] = None)
     mask, d2 = _neighbor_mask(state.x, state.epsilon)
     degrees = mask.sum(axis=1)
     # equal degrees first: they are cheap and usually differ when the mask does
-    if (previous is not None and np.array_equal(degrees, previous.degrees)
-            and np.array_equal(mask, previous.mask)):
+    if (previous is not None and degrees.tobytes() == previous.degrees.tobytes()
+            and mask.tobytes() == previous.mask.tobytes()):
         labels = previous.labels
     else:
         labels = _component_labels(mask, degrees)
-    # keeping the block until a first read would hold n-by-n floats per live analysis
-    geometry = None if d2 is None else _state_geometry(d2, labels, state.epsilon)
-    return StateAnalysis(state.t, mask, labels, degrees, state.x, state.epsilon, geometry)
+    return StateAnalysis(state.t, mask, labels, degrees, state.x, state.epsilon, None, d2)
+
+
+def geometry_block(n: int) -> int:
+    """How many (n, n) squared-distance matrices fit ``MASK_BLOCK_BYTES``
+    together: 0 when a state of n agents does not fit one mask block."""
+    return dynamics.MASK_BLOCK_BYTES // (8 * n * n)
 
 
 def build_profile(state: OpinionState) -> Profile:
@@ -419,12 +483,13 @@ def check_delta_equilibrium(state: OpinionState, delta: float) -> EquilibriumVer
 
 
 def _equality_matrix(x: np.ndarray, rel: float = 1e-14) -> np.ndarray:
-    """``opinions_equal`` for every pair of rows of ``x``, as a boolean matrix."""
-    scale = np.abs(x).max(axis=1)
-    bound = rel * np.maximum.outer(scale, scale)
-    equal = np.abs(x[:, None, 0] - x[None, :, 0]) <= bound
-    for k in range(1, x.shape[1]):
-        equal &= np.abs(x[:, None, k] - x[None, :, k]) <= bound
+    """``opinions_equal`` for every pair of rows of ``x``, as a boolean
+    matrix; for a (B, n, d) stack of states, one matrix per state."""
+    scale = np.abs(x).max(axis=-1)
+    bound = rel * np.maximum(scale[..., :, None], scale[..., None, :])
+    equal = np.abs(x[..., :, None, 0] - x[..., None, :, 0]) <= bound
+    for k in range(1, x.shape[-1]):
+        equal &= np.abs(x[..., :, None, k] - x[..., None, :, k]) <= bound
     return equal
 
 
@@ -448,22 +513,38 @@ def detect_merge_events(states: list) -> list[dict]:
     event is flagged ``departed`` if the pair separates again at any later
     recorded time. Each event is the dict that check reports and trajectory
     sidecars hold, ``{"type": "merge", "t", "i", "j", "departed"}``. One
-    backward pass keeps the pairs found unequal at some later time, so the
-    cost is one n-by-n equality matrix per state. Events come in ascending
-    (t, i, j) order.
+    backward pass over blocks of states computes each block's equality
+    matrices at once and keeps the pairs found unequal at some later time,
+    so the cost is one n-by-n equality matrix per state. Events come in
+    ascending (t, i, j) order.
     """
     if len(states) < 2:
         raise ValueError("merge detection needs a trajectory of length >= 2")
     n = states[0].shape[0]
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    unequal_later = np.zeros((n, n), dtype=bool)
-    equal_now = _equality_matrix(states[-1])
+    # an equality block makes about four (B, n, n) temporaries of 8 bytes
+    block = max(1, geometry_block(n) // 4)
+    unequal_later = np.zeros((n, n), dtype=bool)  # unequal at some time after the block
+    after = np.empty((0, n, n), dtype=bool)  # equality at the time after the block
     found = []
-    for t in range(len(states) - 1, 0, -1):
-        equal_before = _equality_matrix(states[t - 1])
-        i, j = np.nonzero(equal_now & ~equal_before & upper)
-        found.append([{"type": "merge", "t": t, "i": a, "j": b, "departed": gone}
-                      for a, b, gone in zip(i.tolist(), j.tolist(), unequal_later[i, j].tolist())])
-        unequal_later |= ~equal_now
-        equal_now = equal_before
-    return [event for chunk in reversed(found) for event in chunk]
+    for hi in range(len(states), 0, -block):
+        lo = max(0, hi - block)
+        # row s of equal is time lo + s, up to the time after the block
+        equal = np.concatenate([_equality_matrix(np.array(states[lo:hi])), after])
+        unequal = ~equal
+        m, i, j = np.nonzero(equal[1:] & unequal[:-1] & upper)
+        gone = np.zeros(0, dtype=bool)
+        if m.size:
+            # row s of later: unequal at time lo + s or at a later time (a
+            # loop of row operations: an accumulate along the rows is far slower)
+            later = np.empty((len(equal) + 1, n, n), dtype=bool)
+            later[-1] = unequal_later
+            for s in range(len(equal) - 1, -1, -1):
+                np.logical_or(unequal[s], later[s + 1], out=later[s])
+            gone = later[m + 2, i, j]
+        found.append((lo + 1 + m, i, j, gone))
+        unequal_later = unequal_later | unequal[1:].any(axis=0)
+        after = equal[:1]
+    t, i, j, gone = (np.concatenate(parts) for parts in zip(*reversed(found)))
+    return [{"type": "merge", "t": a, "i": b, "j": c, "departed": d}
+            for a, b, c, d in zip(t.tolist(), i.tolist(), j.tolist(), gone.tolist())]

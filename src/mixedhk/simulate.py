@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import ModelConfig, OpinionState, step
-from .monitors import Checker, _step_record
+from .monitors import Checker, hull_ok
 from .profile import analyze_state, detect_merge_events
 from .trajectory import Trajectory
 
@@ -23,27 +23,34 @@ def simulate(config: ModelConfig, checker: Optional[Checker] = None) -> Trajecto
 
     A ``checker`` is pushed every transition, with the analyses the run
     already makes for its steps and stop test, so ``checker.report(traj)``
-    checks the run without analysing any state again.
+    checks the run without analysing any state again. The ``[monitors]``
+    step records are that checker's records (those of a checker of the
+    run's own when none is given), with ``interaction`` and ``hull_ok`` set
+    as the flags ask. Each alpha comes from the validated schedule and each
+    state from the update of a valid state, so neither is validated again.
     """
     state = OpinionState(0, config.initial.copy(), config.epsilon)
     analysis = analyze_state(state)
     states = [state.x]
     alphas: list[np.ndarray] = []
     flags = set(config.monitors)
-    metrics = [] if flags - {"merge"} else None
+    recording = bool(flags - {"merge"})
+    if recording and checker is None:
+        checker = Checker(config.epsilon, hull=False)
+    recorded = len(checker.records) if recording else 0
+    hull = [] if "hull" in flags else None
     stop_reason = "horizon"
 
     for t in range(config.max_steps):
         alpha = config.schedule.alpha_at(t, config.n, config.seed)
-        nxt = step(state, alpha, profile=analysis)
+        nxt = step(state, alpha, profile=analysis, checked=False)
         next_analysis = analyze_state(nxt, analysis)
         alphas.append(alpha)
         states.append(nxt.x)
         if checker is not None:
             checker.push(alpha, analysis, next_analysis)
-        if metrics is not None:
-            metrics.append(_step_record(alpha, analysis, next_analysis,
-                                        interaction="interaction" in flags, hull="hull" in flags))
+        if hull is not None:
+            hull.append(hull_ok(analysis, nxt.x))
         if nxt.x.tobytes() == state.x.tobytes():
             stop_reason = "steady"
             break
@@ -52,6 +59,11 @@ def simulate(config: ModelConfig, checker: Optional[Checker] = None) -> Trajecto
             stop_reason = "consensus"
             break
 
+    metrics = None
+    if recording:
+        metrics = [dict(record, interaction=record["interaction"] if "interaction" in flags else None,
+                        hull_ok=None if hull is None else hull[k])
+                   for k, record in enumerate(checker.records[recorded:])]
     traj = Trajectory(
         n=config.n,
         d=config.d,

@@ -32,7 +32,7 @@ class Trajectory:
     alphas: list  # list of (n,) float64 arrays, len(states) - 1
     stop_reason: str
     consensus_tol: float = 1e-12
-    metrics: Optional[list] = None  # step record dicts (monitors._step_record), when recorded
+    metrics: Optional[list] = None  # step record dicts (a monitors.Checker's records), when recorded
     events: list = field(default_factory=list)  # JSON-ready event records
     version: int = FORMAT_VERSION
 

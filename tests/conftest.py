@@ -177,7 +177,8 @@ def oracle_analyze_state(state):
     row_max = np.max(d2, axis=1, where=labels[:, None] == labels[None, :], initial=0.0)
     block_max = np.zeros(int(labels.max()) + 1)
     np.maximum.at(block_max, labels, row_max)
-    return SimpleNamespace(mask=mask, degrees=degrees, labels=labels,
+    return SimpleNamespace(t=state.t, x=state.x, epsilon=state.epsilon, n=state.n,
+                           mask=mask, degrees=degrees, labels=labels,
                            component_diameters=np.sqrt(block_max).tolist(),
                            diameter=float(np.sqrt(d2.max())),
                            energy=float(np.minimum(d2, eps2).sum()))
@@ -348,14 +349,160 @@ def oracle_movement_budget(traj, agent: int, slack: float = 1e-12) -> tuple:
     return tuple(terms), tuple(sums), tuple(ok), violations
 
 
+def oracle_step_record(alpha, now, nxt, *, interaction: bool, hull: bool) -> dict:
+    """The record of step t -> t+1 evaluated for that one step alone, from
+    the eager analyses (``oracle_analyze_state``) of both states: the
+    per-step route that the checker's block settling replaced."""
+    from mixedhk.monitors import (DIAM_SLACK, ENERGY_SLACK, HULL_TOL, contraction_coefficient)
+    from mixedhk.profile import HullBuffer
+
+    alpha = np.asarray(alpha, dtype=np.float64)
+    disp_sq = ((nxt.x - now.x) ** 2).sum(axis=1)
+    ratio = np.divide(alpha, 1.0 - alpha, out=np.zeros(now.n), where=alpha < 1.0)
+    bound = float(4.0 * ((1.0 + now.degrees * ratio) * disp_sq).sum())
+    drop = now.energy - nxt.energy
+    d_before, d_after = now.diameter, nxt.diameter
+    trivial = now.n >= 2 and d_before <= now.epsilon
+    beta = contraction_coefficient(alpha) if trivial else None
+    interact = bool((nxt.mask & (now.labels[:, None] != now.labels[None, :])).any())
+    return {
+        "t": now.t,
+        "energy": now.energy,
+        "energy_next": nxt.energy,
+        "energy_drop": drop,
+        "energy_drop_bound": bound,
+        "energy_ok": drop >= bound - ENERGY_SLACK * now.n**2 * now.epsilon**2,
+        "contraction_coeff": beta,
+        "diam_global": d_before,
+        "diam_per_component": list(now.component_diameters),
+        "displacement_sq": disp_sq.tolist(),
+        "epsilon_trivial": trivial,
+        "contraction_ok": d_after <= beta * d_before + DIAM_SLACK if trivial else None,
+        "nonexpansion_ok": d_after <= d_before + DIAM_SLACK,
+        "interaction": interact if interaction else None,
+        "hull_ok": HullBuffer().add(0, now, nxt.x).count_over(HULL_TOL) == 0 if hull else None,
+    }
+
+
 def step_record(state, next_state, alpha, *, interaction: bool = False,
                 hull: bool = False) -> dict:
-    """The step record of one transition, from a fresh analysis of each state."""
-    from mixedhk.monitors import _step_record
-    from mixedhk.profile import analyze_state
+    """The step record of one transition, from a fresh eager analysis of each state."""
+    return oracle_step_record(alpha, oracle_analyze_state(state),
+                              oracle_analyze_state(next_state),
+                              interaction=interaction, hull=hull)
 
-    return _step_record(alpha, analyze_state(state), analyze_state(next_state),
-                        interaction=interaction, hull=hull)
+
+class OracleChecker:
+    """The per-step checker: each pushed step settles at once, from the
+    eager analyses of its two states, one array expression per step. Its
+    reports are what ``monitors.Checker``'s block settling must reproduce
+    byte for byte."""
+
+    def __init__(self, epsilon: float, delta=None, *, hull: bool = True):
+        from mixedhk.profile import HullBuffer
+
+        self.delta = epsilon / 4.0 if delta is None else delta
+        self.hull = hull
+        self.violations = {"energy_descent": 0, "contraction": 0, "nonexpansion": 0,
+                           "movement_bound": 0, "equivalence": 0, "hull": 0,
+                           "displacement_floor": 0}
+        self.equivalence = [] if self.delta <= epsilon / 4.0 else None
+        self.records = []
+        self.partial_sums = None
+        self._hull = HullBuffer()
+
+    def push(self, alpha, now, nxt):
+        from mixedhk.monitors import DIAM_SLACK
+        from mixedhk.profile import neighbor_spread
+
+        alpha = np.asarray(alpha, dtype=np.float64)
+        record = oracle_step_record(alpha, now, nxt, interaction=True, hull=False)
+        v = self.violations
+        v["energy_descent"] += not record["energy_ok"]
+        v["contraction"] += record["contraction_ok"] is False
+        v["nonexpansion"] += not record["nonexpansion_ok"]
+        move = nxt.x - now.x
+        trivial = all(dm <= self.delta for dm in now.component_diameters)
+        if not trivial and not (alpha >= 1.0).any():
+            lhs = float((move ** 2).sum())
+            floor = 2.0 * self.delta**2 * (1.0 - float(alpha.max())) ** 2 / move.shape[0]**8
+            v["displacement_floor"] += not lhs > floor * (1.0 - 1e-9)
+        if self.hull:
+            self._hull.add(len(self.records), now, nxt.x)
+        if self.equivalence is not None and trivial:
+            c1 = any(dm > self.delta for dm in nxt.component_diameters)
+            c2 = record["interaction"]
+            c3 = any(dm > now.epsilon / 2.0 for dm in nxt.component_diameters)
+            self.equivalence.append({"t": now.t, "next_nontrivial": c1, "interaction": c2,
+                                     "half_eps_nontrivial": c3, "equivalent": c1 == c2 == c3})
+            v["equivalence"] += not c1 == c2 == c3
+        self.records.append(record)
+        movable = np.flatnonzero(alpha < 1.0)
+        spread = np.zeros(now.n)
+        spread[movable] = neighbor_spread(now.x, now.mask[movable], movable)
+        terms = (1.0 - alpha) * (1.0 - 1.0 / now.degrees) * spread
+        movement = np.sqrt(np.matmul(move[:, None, :], move[:, :, None])[:, 0, 0])
+        v["movement_bound"] += now.n - int(np.count_nonzero(movement <= terms + DIAM_SLACK))
+        self.partial_sums = terms if self.partial_sums is None else self.partial_sums + terms
+        self.last = nxt
+
+    def report(self, traj) -> dict:
+        import math
+
+        from mixedhk.monitors import HULL_TOL, settling_bounds
+        from mixedhk.profile import detect_merge_events
+
+        if self._hull.nbytes:
+            self.violations["hull"] += self._hull.count_over(HULL_TOL)
+        last = getattr(self, "last", None) or oracle_analyze_state(traj.state_at(0))
+        diameters = [r["diam_per_component"] for r in self.records] + [last.component_diameters]
+        tau = next((t for t, diams in enumerate(diameters)
+                    if all(dm <= self.delta for dm in diams)), None)
+        violations = dict(self.violations)
+        total = sum(violations.values())
+        sup_a = traj.sup_alpha()
+        tau_bound = interaction_bound = None
+        if sup_a < 1.0 and self.delta <= traj.epsilon:
+            tau_bound, interaction_bound = settling_bounds(traj.n, traj.epsilon, self.delta, sup_a)
+            if tau_bound == math.inf:
+                tau_bound = None
+        return {
+            "header": traj.header(),
+            "delta": self.delta,
+            "violations": violations,
+            "total_violations": total,
+            "energy_descent_violations": violations["energy_descent"],
+            "contraction_violations": violations["contraction"],
+            "tau_delta": tau,
+            "tau_bound": tau_bound,
+            "sup_alpha": sup_a,
+            "consensus_reached": all(dm <= traj.consensus_tol for dm in last.component_diameters),
+            "final_diameter": last.diameter,
+            "partial_sums": ([0.0] * traj.n if self.partial_sums is None
+                             else self.partial_sums.tolist()),
+            "interaction_times": oracle_interaction_times(traj.epsilon, diameters),
+            "interaction_bound": interaction_bound,
+            "merge_events": detect_merge_events(traj.states) if len(traj.states) >= 2 else [],
+            "interaction_equivalence": {"mismatches": violations["equivalence"]},
+            "per_step": self.records,
+            "ok": total == 0,
+        }
+
+
+def oracle_check(traj, delta=None, *, hull: bool = True) -> OracleChecker:
+    """An ``OracleChecker`` pushed every stored transition of ``traj``."""
+    checker = OracleChecker(traj.epsilon, delta, hull=hull)
+    analyses = _oracle_analyses(traj)
+    now = next(analyses)
+    for alpha, nxt in zip(traj.alphas, analyses):
+        checker.push(alpha, now, nxt)
+        now = nxt
+    return checker
+
+
+def oracle_check_report(traj, delta=None, *, hull: bool = True) -> dict:
+    """The check report of ``traj`` by the per-step route."""
+    return oracle_check(traj, delta, hull=hull).report(traj)
 
 
 def floor_verdict(state, next_state, alpha, delta: float) -> SimpleNamespace:
@@ -528,16 +675,15 @@ def oracle_consensus_envelope_check(traj, beta_cap: float) -> dict:
 
 def oracle_one_run(config, seed: int, delta, hull: bool) -> dict:
     """One batch run's record by the two-pass route: simulate with every
-    monitor off, then check the stored trajectory from scratch, analysing
-    each state a second time."""
+    monitor off, then check the stored trajectory from scratch by the
+    per-step route (``oracle_check_report``)."""
     from dataclasses import replace
 
-    from mixedhk.monitors import check_trajectory
     from mixedhk.simulate import simulate
 
     cfg = replace(config, seed=seed, initial=config.initial.copy(), monitors=())
     traj = simulate(cfg)
-    report = check_trajectory(traj, delta, hull=hull)
+    report = oracle_check_report(traj, delta, hull=hull)
     single_mover_bad = 0
     if cfg.schedule.kind == "asynchronous":
         for t in range(traj.steps):

@@ -132,6 +132,17 @@ ALPHA = "kind = constant\nalpha = 0.25, 0.75"
 # a few edits make two faults, and pin which one is reported
 CONFIG_ERRORS = [
     ("n = 2", "n = two", "<config>:1: n must be an integer, got 'two'"),
+    # values that convert but that the state validator rejects name their key's line
+    ("epsilon = 1.0", "epsilon = inf", "<config>:3: epsilon**2 must be a normal float "
+     "(so the neighbor predicate compares exactly), got epsilon=inf"),
+    ("epsilon = 1.0", "epsilon = 1e-200", "<config>:3: epsilon**2 must be a normal float "
+     "(so the neighbor predicate compares exactly), got epsilon=1e-200"),
+    ("epsilon = 1.0", "epsilon = 1e154", "<config>:3: epsilon=1e+154 is too large for 2 agents: "
+     "n*n*epsilon**2 must be finite, so no capped energy overflows"),
+    ("row.1 = 0.5", "row.1 = inf", "<config>:13: opinions must be finite (no NaN/Inf)"),
+    ("row.0 = 0.0", "row.0 = nan", "<config>:12: opinions must be finite (no NaN/Inf)"),
+    ("row.0 = 0.0", "row.0 = -1.5e308", "<config>:12: opinions too far apart: their squared "
+     "distances overflow (the sum of squared coordinate ranges is not finite)"),
     ("d = 1", "d = 1.0", "<config>:2: d must be an integer, got '1.0'"),
     ("epsilon = 1.0", "epsilon = wide", "<config>:3: epsilon must be a number, got 'wide'"),
     ("epsilon = 1.0", "epsilon = 0", "<config>:3: epsilon must be positive, got 0.0"),
@@ -209,6 +220,21 @@ class TestConfigErrors:
         with pytest.raises(ConfigError) as info:
             parse_config_text(FULL.replace(find, new, 1))
         assert str(info.value) == message
+
+    def test_rejected_state_names_the_line_of_n_or_of_the_csv(self, tmp_path):
+        no_rows = (FULL.replace("n = 2", "n = 0").replace("row.0 = 0.0\nrow.1 = 0.5\n", "")
+                   .replace(ALPHA, "kind = synchronous"))
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(no_rows)
+        assert str(info.value) == "<config>:1: opinions must be a 2-D array, got shape (0,)"
+        (tmp_path / "init.csv").write_text("agent,coord_0\n0,0.0\n1,inf\n", encoding="utf-8")
+        from_csv = FULL.replace("source = inline\nrow.0 = 0.0\nrow.1 = 0.5",
+                                "source = csv\npath = init.csv")
+        path = tmp_path / "run.cfg"
+        path.write_text(from_csv, encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == f"{path}:12: opinions must be finite (no NaN/Inf)"
 
     def test_full_parses(self):
         cfg = parse_config_text(FULL)

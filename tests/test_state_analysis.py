@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import mixedhk.dynamics as dynamics
 import mixedhk.monitors as monitors
 from mixedhk import (
     Checker,
@@ -66,6 +67,7 @@ def _schedule(kind: str, rng: np.random.Generator, n: int, steps: int) -> Stubbo
 
 # modules by name: the package attributes ``simulate`` and ``batch_run`` are functions
 SIMULATE, BATCH = import_module("mixedhk.simulate"), import_module("mixedhk.batch")
+PROFILE = import_module("mixedhk.profile")
 
 
 def _config(kind: str, d: int, seed: int, n: int = 14, steps: int = 25) -> ModelConfig:
@@ -369,7 +371,7 @@ def _track_analyses(monkeypatch) -> dict:
         seen["most"] = max(seen["most"], sum(ref() is not None for ref in made))
         return analysis
 
-    for module in (monitors, SIMULATE):
+    for module in (monitors, SIMULATE, PROFILE):
         monkeypatch.setattr(module, "analyze_state", tracked)
     return seen
 
@@ -381,16 +383,20 @@ def test_batch_analyses_each_state_once(kind, monkeypatch):
     assert seen["calls"] == sum(run["steps"] + 1 for run in summary["per_run"]) > 3
 
 
+@pytest.mark.parametrize("block", (1, 4))
 @pytest.mark.parametrize("route", ("check_trajectory", "batch_run"))
-def test_check_holds_two_analyses_at_a_time(route, monkeypatch):
+def test_check_holds_one_block_of_analyses_at_a_time(route, block, monkeypatch):
+    # the checker buffers a block of steps, whose states' analyses stay
+    # alive until the block settles: B steps hold B + 1 of them
     cfg = _config("constant", 2, seed=5)
+    monkeypatch.setattr(dynamics, "MASK_BLOCK_BYTES", 8 * cfg.n * cfg.n * block)
     traj = simulate(cfg)
     seen = _track_analyses(monkeypatch)
     if route == "check_trajectory":
         assert check_trajectory(traj)["per_step"]
     else:
         assert batch_run(cfg, 2, 5)["per_run"]
-    assert seen["most"] == 2
+    assert traj.steps > 2 * block and seen["most"] == block + 1
 
 
 def test_profile_labels_from_edges_match_union_find():
