@@ -200,28 +200,31 @@ def parse_config_text(text: str, path="<config>") -> ModelConfig:
                            max_steps=max_steps, consensus_tol=consensus_tol,
                            seed=seed, monitors=monitors)
     except ValueError as exc:  # the state validator's: name the key it rejected
-        raise ConfigError(str(exc), path, _rejected_line(text, path, initial, epsilon)) from None
+        line = _rejected_line(text, path, initial, epsilon, rows if source == "inline" else None)
+        raise ConfigError(str(exc), path, line) from None
 
 
-def _rejected_line(text: str, path, initial: np.ndarray, epsilon: float) -> int:
+def _rejected_line(text: str, path, initial: np.ndarray, epsilon: float, rows) -> int:
     """The line of the key whose value the state validator rejected in a
     config whose every value converted: ``n`` when there are no opinions,
     the first inline row holding a non-finite opinion, ``epsilon`` when it
     is out of range for n agents, else the inline row holding the largest
-    opinion (the opinions are too far apart). Opinions read from a CSV file
-    are named by the ``initial.path`` line."""
+    opinion (the opinions are too far apart). ``rows`` are the inline rows'
+    ``(values, line)`` pairs in agent order; opinions read from a CSV file
+    (``rows`` None) are named by the ``initial.path`` line."""
     lines = {key: line for key, (_, line) in _parse_lines(text, path).items()}
-    row = "initial.path" if "initial.path" in lines else "initial.row.{}"
     if initial.ndim != 2 or 0 in initial.shape:
         return lines["n"]
     bad = np.flatnonzero(~np.isfinite(initial).all(axis=1))
     if bad.size:
-        return lines[row.format(bad[0])]
-    try:
-        OpinionState(0, np.zeros((initial.shape[0], 1)), epsilon)
-    except ValueError:
-        return lines["epsilon"]
-    return lines[row.format(np.abs(initial).max(axis=1).argmax())]
+        agent = bad[0]
+    else:
+        try:
+            OpinionState(0, np.zeros((initial.shape[0], 1)), epsilon)
+        except ValueError:
+            return lines["epsilon"]
+        agent = np.abs(initial).max(axis=1).argmax()
+    return lines["initial.path"] if rows is None else rows[agent][1]
 
 
 def parse_config(path) -> ModelConfig:

@@ -97,6 +97,16 @@ class OpinionState:
             raise ValueError(f"time index must be nonnegative, got {self.t}")
         object.__setattr__(self, "x", x)
 
+    def _successor(self, x: np.ndarray) -> OpinionState:
+        """The state after this one, with opinions ``x``, made without
+        validation; its other fields are this state's. ``x`` must be an
+        update of this valid state's opinions: each new opinion a convex
+        combination of its finite opinions, so finite and within its
+        coordinate ranges."""
+        nxt = object.__new__(OpinionState)
+        nxt.__dict__.update(self.__dict__, t=self.t + 1, x=x)
+        return nxt
+
     @property
     def n(self) -> int:
         return self.x.shape[0]
@@ -339,6 +349,12 @@ def neighbor_means(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     if k == 1:  # one mover, as in every asynchronous step: its neighbors in one gather
         cols = np.flatnonzero(rows)
         return np.add.accumulate(x[cols], axis=0)[-1:] / len(cols)
+    if k * n * x.shape[1] <= 1024:
+        # a small block in one accumulate over all n agents: a non-neighbor
+        # adds -0.0, and s + -0.0 is s bit for bit (a -0.0 sum included), so
+        # each row sums its neighbors alone, from the first one on
+        sums = np.add.accumulate(np.where(rows[:, :, None], x, -0.0), axis=1)[:, -1]
+        return sums / rows.sum(axis=1)[:, None]
     # the flat nonzero of a row-major block lists row by row, each row's
     # neighbors ascending (and is several times faster than a 2-D nonzero)
     row_of, cols = np.divmod(np.flatnonzero(rows), n)
@@ -354,8 +370,7 @@ def neighbor_means(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return sums / counts[:, None]
 
 
-def step(state: OpinionState, alpha: np.ndarray, *, profile=None,
-         checked: bool = True) -> OpinionState:
+def step(state: OpinionState, alpha: np.ndarray, *, profile=None) -> OpinionState:
     """Advance the dynamics one step under stubbornness vector alpha.
 
     Every new opinion lies in the convex hull of the agent's neighbors'
@@ -366,19 +381,17 @@ def step(state: OpinionState, alpha: np.ndarray, *, profile=None,
     its movers cost. ``profile`` is the state's analysis (a
     ``profile.StateAnalysis``) when the caller already has it: its ``mask``
     and ``degrees`` are read instead of computed.
-
-    With ``checked`` false the caller vouches that ``alpha`` is a valid
-    stubbornness vector for the state (``simulate`` takes it from a
-    validated schedule), and neither it nor the new state is validated.
-    The new state needs no check: each new opinion is a convex combination
-    of finite opinions of the valid ``state``, so it is finite and the
-    coordinate ranges do not grow.
     """
-    if checked:
-        alpha = np.asarray(alpha, dtype=np.float64)
-        if alpha.shape != (state.n,):
-            raise ConfigError(f"alpha has shape {alpha.shape}, expected ({state.n},)")
-        _check_alpha(alpha)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.shape != (state.n,):
+        raise ConfigError(f"alpha has shape {alpha.shape}, expected ({state.n},)")
+    _check_alpha(alpha)
+    return OpinionState(state.t + 1, _advance(state, alpha, profile), state.epsilon)
+
+
+def _advance(state: OpinionState, alpha: np.ndarray, profile) -> np.ndarray:
+    """The opinions one ``step`` after ``state`` under ``alpha``, which must
+    be a valid stubbornness vector for it; neither is validated."""
     mask = neighbor_matrix(state) if profile is None else profile.mask
     degrees = mask.sum(axis=1) if profile is None else profile.degrees
     movers = np.flatnonzero((alpha != 1.0) & (degrees > 1))
@@ -387,9 +400,4 @@ def step(state: OpinionState, alpha: np.ndarray, *, profile=None,
     new_x = state.x.copy()
     # 0*x + 1*mean would turn a -0.0 mean into +0.0, so adopters take the mean as is
     new_x[movers] = np.where(a == 0.0, means, a * state.x[movers] + (1.0 - a) * means)
-    if checked:
-        return OpinionState(state.t + 1, new_x, state.epsilon)
-    derived = object.__new__(OpinionState)
-    for name, value in (("t", state.t + 1), ("x", new_x), ("epsilon", state.epsilon)):
-        object.__setattr__(derived, name, value)
-    return derived
+    return new_x

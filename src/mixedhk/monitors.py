@@ -20,9 +20,9 @@ surrogate and says so; a verdict here is evidence, not proof.
 A ``Checker`` is the one verification engine, pushed each transition as
 alpha(t) and both states' analyses. It buffers its steps and settles a
 block of them at a time with one function, ``_settle_steps``, which makes
-each step's record (a plain dict; ``simulate``'s ``[monitors]`` records
-are a checker's records) and its violation counts; ``report``, or
-``check_trajectory`` over stored states, aggregates them.
+each step's record (a plain dict, from ``_step_records``, which also makes
+``simulate``'s ``[monitors]`` records) and its violation counts;
+``report``, or ``check_trajectory`` over stored states, aggregates them.
 ``interaction_equivalence`` and ``consensus_envelope_check`` read one such
 pass for data the report does not hold.
 """
@@ -55,13 +55,17 @@ def contraction_coefficient(alpha: np.ndarray) -> float:
     a_i >= a_j; equals a(1) - (a(1) - a(2))/n for the two largest entries.
     The distinct-pair choice is pinned by the two-agent half-stubborn
     configuration, where the factor 1/2 is attained exactly.
+
+    For a (B, n) stack of stubbornness vectors, the (B,) array of their
+    factors.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    n = alpha.shape[0]
+    n = alpha.shape[-1]
     if n < 2:
         raise ValueError("contraction coefficient needs at least two agents")
-    a2, a1 = np.sort(alpha)[-2:].tolist()
-    return a1 - (a1 - a2) / n
+    a2, a1 = np.sort(alpha)[..., -2:].T
+    beta = a1 - (a1 - a2) / n
+    return beta if alpha.ndim > 1 else float(beta)
 
 
 def _interact(now: StateAnalysis, nxt: StateAnalysis) -> bool:
@@ -190,15 +194,10 @@ def hull_ok(now: StateAnalysis, next_x: np.ndarray) -> bool:
     return HullBuffer().add(0, now, next_x).count_over(HULL_TOL) == 0
 
 
-def _settle_steps(alphas: np.ndarray, nows: list, nxts: list, delta: float) -> dict:
-    """Verify a block of B steps at once: step k goes from the state
-    analysed by ``nows[k]`` to the one analysed by ``nxts[k]`` under
-    ``alphas[k]`` (a (B, n) stack).
-
-    Returns the step ``records`` (the dicts described below), the block's
-    violation ``counts`` (all but the equivalence count), the
-    ``equivalence`` records (one at each step whose current components are
-    all delta-trivial) and each step's budget ``terms`` (a (B, n) array).
+def _step_records(steps: list, *, interaction: bool) -> list:
+    """The records of a block of B ``steps``, each an (alpha, now, nxt)
+    triple: the step under alpha from the state analysed by ``now`` to the
+    one analysed by ``nxt``.
 
     Energy descent: the capped energy Z must drop by at least
     4 * sum_i c_i ||x_i(t) - x_i(t+1)||^2, where c_i = 1 + |N_i| alpha_i /
@@ -206,35 +205,21 @@ def _settle_steps(alphas: np.ndarray, nows: list, nxts: list, delta: float) -> d
     displacement is identically zero anyway). Contraction: on an
     epsilon-trivial profile diam(t+1) <= beta * diam(t), with beta the
     ``contraction_coefficient``; non-expansion diam(t+1) <= diam(t) always.
-    A record's ``interaction`` says whether components of the current
-    profile interact at the next step; its ``hull_ok`` is None.
-
-    Displacement floor: the step violates it unless sum_i ||move_i||^2 >
-    2 delta^2 (1 - max alpha)^2 / n^8, for move = x(t+1) - x(t). The floor
-    applies whenever some component of the current profile is
-    delta-nontrivial and every stubbornness entry is below one:
-    restricting to a delta-nontrivial component reduces to the connected
-    case, and both the component size and its maximum stubbornness only
-    tighten the bound.
+    ``interaction`` adds whether components of the current profile interact
+    at the next step (None when not asked for); ``hull_ok`` is None.
 
     Every value is computed for the whole block in one array expression
     whose per-step part adds in the order a single step's expression
     does, so each has the bits of its one-step evaluation.
     """
+    alphas = np.array([alpha for alpha, _, _ in steps], dtype=np.float64)
+    nows, nxts = [now for _, now, _ in steps], [nxt for _, _, nxt in steps]
     B, n = alphas.shape
     eps = nows[0].epsilon
-    # pushed in a run's order, step k + 1 starts where step k ended
-    chained = all(a is b for a, b in zip(nows[1:], nxts))
-    states = nows + nxts[-1:] if chained else nows + nxts
-    comps, diameters, energies = settle_geometry(states)
-    widest = np.array([max(c) for c in comps])
-    x = np.array([a.x for a in states])
-    later = slice(1, None) if chained else slice(B, None)
-    d_now, d_next = diameters[:B], diameters[later]
-    e_now, e_next = energies[:B], energies[later]
-    widest, widest_next = widest[:B], widest[later]
-    x_now = x[:B]
-    move = x[later] - x_now
+    comps, diameters, energies = settle_geometry(nows + nxts)
+    d_now, d_next = diameters[:B], diameters[B:]
+    e_now, e_next = energies[:B], energies[B:]
+    move = np.array([a.x for a in nxts]) - np.array([a.x for a in nows])
     degrees = np.array([a.degrees for a in nows])
 
     disp_sq = (move ** 2).sum(axis=2)
@@ -243,14 +228,11 @@ def _settle_steps(alphas: np.ndarray, nows: list, nxts: list, delta: float) -> d
     drop = e_now - e_next
     energy_ok = drop >= bound - ENERGY_SLACK * n**2 * eps**2
     trivial = d_now <= eps if n >= 2 else np.zeros(B, dtype=bool)
-    beta = np.zeros(B)
-    if n >= 2:
-        a2, a1 = np.sort(alphas, axis=1)[:, -2:].T
-        beta = a1 - (a1 - a2) / n
+    beta = contraction_coefficient(alphas) if n >= 2 else np.zeros(B)
     contraction_ok = d_next <= beta * d_now + DIAM_SLACK
     nonexpansion_ok = d_next <= d_now + DIAM_SLACK
-    interaction = [_interact(now, nxt) for now, nxt in zip(nows, nxts)]
-    records = [
+    interacts = [_interact(now, nxt) if interaction else None for now, nxt in zip(nows, nxts)]
+    return [
         {"t": now.t, "energy": en, "energy_next": enx, "energy_drop": dr,
          "energy_drop_bound": bd, "energy_ok": ok, "contraction_coeff": bt if tv else None,
          "diam_global": dn, "diam_per_component": list(comp),
@@ -259,7 +241,37 @@ def _settle_steps(alphas: np.ndarray, nows: list, nxts: list, delta: float) -> d
         for now, comp, en, enx, dr, bd, ok, bt, dn, sq, tv, cok, nok, it in zip(
             nows, comps, e_now.tolist(), e_next.tolist(), drop.tolist(), bound.tolist(),
             energy_ok.tolist(), beta.tolist(), d_now.tolist(), disp_sq.tolist(),
-            trivial.tolist(), contraction_ok.tolist(), nonexpansion_ok.tolist(), interaction)]
+            trivial.tolist(), contraction_ok.tolist(), nonexpansion_ok.tolist(), interacts)]
+
+
+def _settle_steps(steps: list, delta: float) -> dict:
+    """Verify a block of B ``steps`` at once, given as to ``_step_records``.
+
+    Returns the step ``records`` (with ``interaction`` set), the block's
+    violation ``counts`` (all but the equivalence count), the
+    ``equivalence`` records (one at each step whose current components are
+    all delta-trivial) and each step's budget ``terms`` (a (B, n) array),
+    each value with the bits of its one-step evaluation.
+
+    Displacement floor: the step violates it unless sum_i ||move_i||^2 >
+    2 delta^2 (1 - max alpha)^2 / n^8, for move = x(t+1) - x(t). The floor
+    applies whenever some component of the current profile is
+    delta-nontrivial and every stubbornness entry is below one:
+    restricting to a delta-nontrivial component reduces to the connected
+    case, and both the component size and its maximum stubbornness only
+    tighten the bound.
+    """
+    records = _step_records(steps, interaction=True)
+    alphas = np.array([alpha for alpha, _, _ in steps], dtype=np.float64)
+    nows, nxts = [now for _, now, _ in steps], [nxt for _, _, nxt in steps]
+    B, n = alphas.shape
+    eps = nows[0].epsilon
+    x_now = np.array([a.x for a in nows])
+    move = np.array([a.x for a in nxts]) - x_now
+    degrees = np.array([a.degrees for a in nows])
+    # the records settled every state's geometry
+    widest = np.array([max(r["diam_per_component"]) for r in records])
+    widest_next = np.array([max(a.component_diameters) for a in nxts])
 
     delta_trivial = widest <= delta
     floor_applies = ~delta_trivial & ~(alphas >= 1.0).any(axis=1)
@@ -271,25 +283,25 @@ def _settle_steps(alphas: np.ndarray, nows: list, nxts: list, delta: float) -> d
         floor_fails = int(k - np.count_nonzero(lhs > floor * (1.0 - 1e-9)))
 
     equivalence = [
-        {"t": nows[k].t, "next_nontrivial": c1, "interaction": interaction[k],
-         "half_eps_nontrivial": c3, "equivalent": c1 == interaction[k] == c3}
+        {"t": nows[k].t, "next_nontrivial": c1, "interaction": records[k]["interaction"],
+         "half_eps_nontrivial": c3, "equivalent": c1 == records[k]["interaction"] == c3}
         for k, c1, c3 in zip(np.flatnonzero(delta_trivial).tolist(),
                              (widest_next[delta_trivial] > delta).tolist(),
                              (widest_next[delta_trivial] > eps / 2.0).tolist())]
 
     # spreads of the agents with alpha_i < 1 only; the others' terms stay +0.0
-    steps, agents = np.nonzero(alphas < 1.0)
+    at, agents = np.nonzero(alphas < 1.0)
     masks = np.array([a.mask for a in nows])
     spread = np.zeros((B, n))
-    spread[steps, agents] = neighbor_spread(x_now.reshape(B * n, -1), masks[steps, agents],
-                                            steps * n + agents)
+    spread[at, agents] = neighbor_spread(x_now.reshape(B * n, -1), masks[at, agents],
+                                         at * n + agents)
     terms = (1.0 - alphas) * (1.0 - 1.0 / degrees) * spread
     # the per-row dot product that np.linalg.norm takes of one move
     movement = np.sqrt(np.matmul(move[..., None, :], move[..., :, None])[..., 0, 0])
     counts = {
-        "energy_descent": B - int(np.count_nonzero(energy_ok)),
-        "contraction": int(np.count_nonzero(trivial & ~contraction_ok)),
-        "nonexpansion": B - int(np.count_nonzero(nonexpansion_ok)),
+        "energy_descent": sum(not r["energy_ok"] for r in records),
+        "contraction": sum(r["contraction_ok"] is False for r in records),
+        "nonexpansion": sum(not r["nonexpansion_ok"] for r in records),
         "movement_bound": B * n - int(np.count_nonzero(movement <= terms + DIAM_SLACK)),
         "displacement_floor": floor_fails,
     }
@@ -353,7 +365,7 @@ class Checker:
         """Verify the step from the state analysed by ``now`` to the one
         analysed by ``nxt`` under ``alpha``: buffer it, and settle the
         buffer when it is full."""
-        self._pending.append((np.asarray(alpha, dtype=np.float64), now, nxt))
+        self._pending.append((alpha, now, nxt))
         if self.hull:
             self._hull.add(len(self._records) + len(self._pending) - 1, now, nxt.x)
             if self._hull.nbytes >= HULL_BUFFER_BYTES:
@@ -367,9 +379,7 @@ class Checker:
         if not self._pending:
             return
         pending, self._pending = self._pending, []
-        alphas = np.array([alpha for alpha, _, _ in pending])
-        block = _settle_steps(alphas, [now for _, now, _ in pending],
-                              [nxt for _, _, nxt in pending], self.delta)
+        block = _settle_steps(pending, self.delta)
         for key, count in block["counts"].items():
             self._violations[key] += count
         self._records += block["records"]

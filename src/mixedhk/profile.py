@@ -512,39 +512,51 @@ def detect_merge_events(states: list) -> list[dict]:
     at t if it is equal at t (see opinions_equal) and unequal at t-1; the
     event is flagged ``departed`` if the pair separates again at any later
     recorded time. Each event is the dict that check reports and trajectory
-    sidecars hold, ``{"type": "merge", "t", "i", "j", "departed"}``. One
-    backward pass over blocks of states computes each block's equality
-    matrices at once and keeps the pairs found unequal at some later time,
-    so the cost is one n-by-n equality matrix per state. Events come in
-    ascending (t, i, j) order.
+    sidecars hold, ``{"type": "merge", "t", "i", "j", "departed"}``. The
+    cost is one n-by-n equality matrix per state. Where several states fit
+    one block, one forward pass computes a block's equality matrices at
+    once and notes the last time each pair was unequal, which decides
+    ``departed`` at the end; else ``_merge_events_by_state`` runs. Events
+    come in ascending (t, i, j) order.
     """
     if len(states) < 2:
         raise ValueError("merge detection needs a trajectory of length >= 2")
     n = states[0].shape[0]
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     # an equality block makes about four (B, n, n) temporaries of 8 bytes
-    block = max(1, geometry_block(n) // 4)
-    unequal_later = np.zeros((n, n), dtype=bool)  # unequal at some time after the block
-    after = np.empty((0, n, n), dtype=bool)  # equality at the time after the block
+    block = geometry_block(n) // 4
+    if block <= 1:
+        return _merge_events_by_state(states, upper)
+    last_unequal = np.zeros((n, n), dtype=np.int64)  # 0 until a pair is unequal after time 0
+    equal = _equality_matrix(states[0])[None]
     found = []
-    for hi in range(len(states), 0, -block):
-        lo = max(0, hi - block)
-        # row s of equal is time lo + s, up to the time after the block
-        equal = np.concatenate([_equality_matrix(np.array(states[lo:hi])), after])
+    for lo in range(1, len(states), block):
+        # row s of equal is time lo - 1 + s
+        equal = np.concatenate([equal[-1:], _equality_matrix(np.array(states[lo:lo + block]))])
         unequal = ~equal
         m, i, j = np.nonzero(equal[1:] & unequal[:-1] & upper)
-        gone = np.zeros(0, dtype=bool)
-        if m.size:
-            # row s of later: unequal at time lo + s or at a later time (a
-            # loop of row operations: an accumulate along the rows is far slower)
-            later = np.empty((len(equal) + 1, n, n), dtype=bool)
-            later[-1] = unequal_later
-            for s in range(len(equal) - 1, -1, -1):
-                np.logical_or(unequal[s], later[s + 1], out=later[s])
-            gone = later[m + 2, i, j]
-        found.append((lo + 1 + m, i, j, gone))
-        unequal_later = unequal_later | unequal[1:].any(axis=0)
-        after = equal[:1]
-    t, i, j, gone = (np.concatenate(parts) for parts in zip(*reversed(found)))
+        found.append((lo + m, i, j))
+        times = np.arange(lo, lo + len(equal) - 1)[:, None, None]
+        np.maximum(last_unequal, (unequal[1:] * times).max(axis=0), out=last_unequal)
+    t, i, j = (np.concatenate(parts) for parts in zip(*found))
     return [{"type": "merge", "t": a, "i": b, "j": c, "departed": d}
-            for a, b, c, d in zip(t.tolist(), i.tolist(), j.tolist(), gone.tolist())]
+            for a, b, c, d in zip(t.tolist(), i.tolist(), j.tolist(),
+                                  (last_unequal[i, j] > t).tolist())]
+
+
+def _merge_events_by_state(states: list, upper: np.ndarray) -> list[dict]:
+    """``detect_merge_events`` one state at a time, for states too large
+    to share a block (``upper`` is the strict upper triangle of n-by-n):
+    one backward pass keeps the pairs found unequal at some later time."""
+    n = states[0].shape[0]
+    unequal_later = np.zeros((n, n), dtype=bool)
+    equal_now = _equality_matrix(states[-1])
+    found = []
+    for t in range(len(states) - 1, 0, -1):
+        equal_before = _equality_matrix(states[t - 1])
+        i, j = np.nonzero(equal_now & ~equal_before & upper)
+        found.append([{"type": "merge", "t": t, "i": a, "j": b, "departed": gone}
+                      for a, b, gone in zip(i.tolist(), j.tolist(), unequal_later[i, j].tolist())])
+        unequal_later |= ~equal_now
+        equal_now = equal_before
+    return [event for chunk in reversed(found) for event in chunk]

@@ -27,10 +27,11 @@ from mixedhk import (
     step,
 )
 from mixedhk.dynamics import SCHEDULE_KINDS
-from mixedhk.profile import first_members
+from mixedhk.profile import detect_merge_events, first_members
 from conftest import (
     oracle_analyze_state,
     oracle_check_report,
+    oracle_merge_events,
     oracle_one_run,
     oracle_step_record,
     random_alpha,
@@ -122,8 +123,10 @@ def test_batch_summaries_equal_the_per_step_route(kind, blocks, monkeypatch):
 @pytest.mark.parametrize("flags", (("energy",), ("interaction", "merge"), ("hull", "contraction"),
                                    ("energy", "interaction", "hull")))
 @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
-def test_monitor_records_equal_the_per_step_records(kind, flags, monkeypatch):
-    monkeypatch.setattr(dynamics, "MASK_BLOCK_BYTES", 8 * 12 * 12 * 3)
+@pytest.mark.parametrize("blocks", (1, 3, 11))
+def test_monitor_records_equal_the_per_step_records(blocks, kind, flags, monkeypatch):
+    # a run without a checker makes its records a block at a time too
+    monkeypatch.setattr(dynamics, "MASK_BLOCK_BYTES", 8 * 12 * 12 * blocks)
     cfg = replace(_config(kind, 12, 2, 5 + SCHEDULE_KINDS.index(kind), 10), monitors=flags)
     traj = simulate(cfg)
     oracles = [oracle_analyze_state(traj.state_at(t)) for t in range(len(traj.states))]
@@ -135,6 +138,25 @@ def test_monitor_records_equal_the_per_step_records(kind, flags, monkeypatch):
     checker = Checker(cfg.epsilon)
     assert json.dumps(simulate(cfg, checker).metrics) == json.dumps(want)
     assert json.dumps(checker.report(traj)) == json.dumps(oracle_check_report(traj))
+
+
+def test_merge_events_equal_the_pairwise_route_at_every_block_size(monkeypatch):
+    # states on a coarse grid, so pairs merge, part and merge again, -0.0 among them
+    rng = np.random.default_rng(11)
+    events = 0
+    for _ in range(60):
+        n, d, length = int(rng.integers(2, 9)), int(rng.integers(1, 4)), int(rng.integers(2, 14))
+        states = [rng.integers(-1, 2, (n, d)) * 0.5 for _ in range(length)]
+        for x in states:
+            x[x == 0.0] = rng.choice((0.0, -0.0))
+        want = oracle_merge_events(states)
+        # equality blocks of one state (the per-state pass) to one for all of them
+        for block in range(1, length + 1):
+            monkeypatch.setattr(dynamics, "MASK_BLOCK_BYTES", 8 * n * n * 4 * block)
+            got = [(e["t"], e["i"], e["j"], e["departed"]) for e in detect_merge_events(states)]
+            assert got == want, (n, d, length, block)
+        events += len(want)
+    assert events > 100
 
 
 def test_first_members_match_unique():

@@ -141,6 +141,7 @@ CONFIG_ERRORS = [
      "n*n*epsilon**2 must be finite, so no capped energy overflows"),
     ("row.1 = 0.5", "row.1 = inf", "<config>:13: opinions must be finite (no NaN/Inf)"),
     ("row.0 = 0.0", "row.0 = nan", "<config>:12: opinions must be finite (no NaN/Inf)"),
+    ("row.0 = 0.0", "row.00 = inf", "<config>:12: opinions must be finite (no NaN/Inf)"),
     ("row.0 = 0.0", "row.0 = -1.5e308", "<config>:12: opinions too far apart: their squared "
      "distances overflow (the sum of squared coordinate ranges is not finite)"),
     ("d = 1", "d = 1.0", "<config>:2: d must be an integer, got '1.0'"),
