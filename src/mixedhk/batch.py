@@ -14,7 +14,7 @@ from .simulate import simulate
 
 def _one_run(config: ModelConfig, seed: int, delta: Optional[float], hull: bool) -> dict:
     # the checker verifies each step as it is made, so simulate records nothing
-    cfg = replace(config, seed=seed, initial=config.initial.copy(), monitors=())
+    cfg = replace(config, seed=seed, monitors=())
     checker = Checker(cfg.epsilon, delta, hull=hull)
     traj = simulate(cfg, checker)
     verdict = checker.verdict(traj)

@@ -166,25 +166,30 @@ def parse_config_text(text: str, path="<config>") -> ModelConfig:
     else:
         raise ConfigError(f"unknown schedule kind {kind!r}", path, kind_line)
 
+    source_line = entries.get("initial.source", (None, None))[1]
     source = take("initial.source")
     if source == "inline":
         rows = _rows(entries, path, "initial.row.")
         if len(rows) != n:
-            raise ConfigError(f"initial has {len(rows)} inline rows, expected n={n}", path)
+            raise ConfigError(f"initial has {len(rows)} inline rows, expected n={n}",
+                              path, source_line)
         for values, line in rows:
             if len(values) != d:
                 raise ConfigError(f"initial row has {len(values)} coordinates, expected d={d}",
                                   path, line)
         initial = np.array([v for v, _ in rows])
     elif source == "csv":
+        path_line = entries.get("initial.path", (None, None))[1]
         csv_path = take("initial.path")
         base = Path(path).parent if path not in ("<config>", "<scenario>") else Path(".")
         initial = read_initial_csv(Path(csv_path) if Path(csv_path).is_absolute()
                                    else base / csv_path)
         if initial.shape != (n, d):
-            raise ConfigError(f"initial CSV has shape {initial.shape}, expected ({n}, {d})", path)
+            raise ConfigError(f"initial CSV has shape {initial.shape}, expected ({n}, {d})",
+                              path, path_line)
     else:
-        raise ConfigError(f"initial.source must be 'inline' or 'csv', got {source!r}", path)
+        raise ConfigError(f"initial.source must be 'inline' or 'csv', got {source!r}",
+                          path, source_line)
 
     # flag keys, when there are any, name exactly the monitors that run
     flags = {f: on for f in MONITOR_FLAGS

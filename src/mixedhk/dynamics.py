@@ -23,9 +23,10 @@ an independent implementation):
 * neighbor means accumulate over ascending agent index, left to right, then
   divide by the neighbor count; ``neighbor_means`` takes any block of
   neighbor-mask rows and sums each row with one sequential
-  ``np.add.accumulate`` over its gathered neighbors, and a step asks it
-  only for the agents that move (a_i != 1 and a neighbor besides
-  themselves);
+  ``np.add.accumulate`` over its gathered neighbors (one gather for a
+  single row, as in every asynchronous step, else one padded gather for
+  the block), and a step asks it only for the agents that move (a_i != 1
+  and a neighbor besides themselves);
 * agents with a_i = 1, and agents whose only neighbor is themselves, keep
   their opinion bit for bit; agents with a_i = 0 adopt the neighbor mean bit
   for bit; otherwise the convex combination above is evaluated elementwise.
@@ -343,18 +344,14 @@ def neighbor_means(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     row's neighbors are summed in ascending index order, left to right, from
     the first neighbor on (one sequential ``np.add.accumulate`` over the
     gathered neighbors of every row), then divided by the row's neighbor
-    count.
+    count. A single row, the one mover of an asynchronous step, gathers its
+    neighbors alone; any other block, an empty one included, gathers every
+    row's neighbors into one padded array.
     """
     k, n = rows.shape
     if k == 1:  # one mover, as in every asynchronous step: its neighbors in one gather
         cols = np.flatnonzero(rows)
         return np.add.accumulate(x[cols], axis=0)[-1:] / len(cols)
-    if k * n * x.shape[1] <= 1024:
-        # a small block in one accumulate over all n agents: a non-neighbor
-        # adds -0.0, and s + -0.0 is s bit for bit (a -0.0 sum included), so
-        # each row sums its neighbors alone, from the first one on
-        sums = np.add.accumulate(np.where(rows[:, :, None], x, -0.0), axis=1)[:, -1]
-        return sums / rows.sum(axis=1)[:, None]
     # the flat nonzero of a row-major block lists row by row, each row's
     # neighbors ascending (and is several times faster than a 2-D nonzero)
     row_of, cols = np.divmod(np.flatnonzero(rows), n)

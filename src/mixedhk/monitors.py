@@ -86,12 +86,12 @@ def consensus_envelope_check(traj: Trajectory, beta_cap: float) -> dict:
     beta_cap^k where k counts steps with coefficient <= beta_cap. The
     hypothesis ("infinitely many contracting steps") is reported as the
     within-horizon count; the verdict is labeled a surrogate. The states'
-    diameters are read off one checker pass.
+    diameters are read off one checker pass, which detects no merge events.
     """
     if not (0.0 < beta_cap < 1.0):
         raise ValueError(f"beta_cap must lie in (0, 1), got {beta_cap}")
-    report = check_trajectory(traj, hull=False)
-    diams = [r["diam_global"] for r in report["per_step"]] + [report["final_diameter"]]
+    checker = _checked(traj, None, hull=False)
+    diams = [r["diam_global"] for r in checker.records] + [checker._final(traj).diameter]
     t1 = next((t for t, dm in enumerate(diams) if dm <= traj.epsilon), None)
     if t1 is None or traj.n < 2:
         return {"applicable": False, "surrogate": True}
@@ -188,13 +188,7 @@ def _interaction_times(epsilon: float, comp_cache: list, m_max: int = 64) -> lis
     return times
 
 
-def hull_ok(now: StateAnalysis, next_x: np.ndarray) -> bool:
-    """True iff every new opinion ``next_x`` lies within ``HULL_TOL`` of its
-    neighbors' hull in the state analysed by ``now``."""
-    return HullBuffer().add(0, now, next_x).count_over(HULL_TOL) == 0
-
-
-def _step_records(steps: list, *, interaction: bool) -> list:
+def _step_records(steps: list, *, interaction: bool, hull: bool = False) -> list:
     """The records of a block of B ``steps``, each an (alpha, now, nxt)
     triple: the step under alpha from the state analysed by ``now`` to the
     one analysed by ``nxt``.
@@ -206,7 +200,8 @@ def _step_records(steps: list, *, interaction: bool) -> list:
     epsilon-trivial profile diam(t+1) <= beta * diam(t), with beta the
     ``contraction_coefficient``; non-expansion diam(t+1) <= diam(t) always.
     ``interaction`` adds whether components of the current profile interact
-    at the next step (None when not asked for); ``hull_ok`` is None.
+    at the next step, and ``hull`` whether every new opinion lies within
+    ``HULL_TOL`` of its neighbors' hull (each None when not asked for).
 
     Every value is computed for the whole block in one array expression
     whose per-step part adds in the order a single step's expression
@@ -232,16 +227,18 @@ def _step_records(steps: list, *, interaction: bool) -> list:
     contraction_ok = d_next <= beta * d_now + DIAM_SLACK
     nonexpansion_ok = d_next <= d_now + DIAM_SLACK
     interacts = [_interact(now, nxt) if interaction else None for now, nxt in zip(nows, nxts)]
+    hulls = [HullBuffer().add(0, now, nxt.x).count_over(HULL_TOL) == 0 if hull else None
+             for now, nxt in zip(nows, nxts)]
     return [
         {"t": now.t, "energy": en, "energy_next": enx, "energy_drop": dr,
          "energy_drop_bound": bd, "energy_ok": ok, "contraction_coeff": bt if tv else None,
          "diam_global": dn, "diam_per_component": list(comp),
          "displacement_sq": sq, "epsilon_trivial": tv, "contraction_ok": cok if tv else None,
-         "nonexpansion_ok": nok, "interaction": it, "hull_ok": None}
-        for now, comp, en, enx, dr, bd, ok, bt, dn, sq, tv, cok, nok, it in zip(
+         "nonexpansion_ok": nok, "interaction": it, "hull_ok": hl}
+        for now, comp, en, enx, dr, bd, ok, bt, dn, sq, tv, cok, nok, it, hl in zip(
             nows, comps, e_now.tolist(), e_next.tolist(), drop.tolist(), bound.tolist(),
             energy_ok.tolist(), beta.tolist(), d_now.tolist(), disp_sq.tolist(),
-            trivial.tolist(), contraction_ok.tolist(), nonexpansion_ok.tolist(), interacts)]
+            trivial.tolist(), contraction_ok.tolist(), nonexpansion_ok.tolist(), interacts, hulls)]
 
 
 def _settle_steps(steps: list, delta: float) -> dict:
@@ -323,11 +320,14 @@ class Checker:
     computed from (``profile.settle_geometry``), and its hull buffer holds
     at most ``HULL_BUFFER_BYTES`` plus one step's vertex sets. A block's
     size changes no value: each is computed as one step's would be.
-    ``report`` only aggregates. Besides the counters the checker keeps each
-    agent's movement budget and O(n) values per step: the step's record
-    (whose component diameters give the settling and first-interaction
-    times) and its equivalence record when it has one (``equivalence``,
-    None when delta > epsilon/4). ``delta`` defaults to epsilon/4.
+    ``report`` only aggregates, from the final analysis and the component
+    diameters that ``verdict`` reads. A run's ``[monitors]`` records are
+    ``simulate``'s own, not a checker's. Besides the counters the checker
+    keeps each agent's movement budget and O(n) values per step: the step's
+    record (whose component diameters give the settling and
+    first-interaction times) and its equivalence record when it has one
+    (``equivalence``, None when delta > epsilon/4). ``delta`` defaults to
+    epsilon/4.
 
     Agent i's budget is the running sum of its terms (1 - a_i(t))
     (1 - 1/|N_i(t)|) max_{j in N_i} dist(i, j), and each step's
@@ -425,6 +425,11 @@ class Checker:
         whether the last state reached consensus, and its diameter. These
         are the values of ``report`` that batch summaries hold; no merge
         events are detected."""
+        return self._verdict(traj)[0]
+
+    def _verdict(self, traj: Trajectory) -> tuple:
+        """The ``verdict`` of ``traj``, and every recorded state's component
+        diameters, which it reads."""
         last = self._final(traj)
         violations = dict(self.violations)
         diameters = [r["diam_per_component"] for r in self._records] + [last.component_diameters]
@@ -433,16 +438,14 @@ class Checker:
         return {"violations": violations, "total_violations": sum(violations.values()),
                 "tau_delta": tau,
                 "consensus_reached": last.components_within(traj.consensus_tol),
-                "final_diameter": last.diameter}
+                "final_diameter": last.diameter}, diameters
 
     def report(self, traj: Trajectory) -> dict:
         """The check report of ``traj``, whose every transition was pushed:
         the ``verdict``, per-step records, merge events, settling bounds,
         each agent's movement budget (``partial_sums``), and the
         first-interaction surrogate (``interaction_times``)."""
-        verdict = self.verdict(traj)
-        last = self._final(traj)
-        diameters = [r["diam_per_component"] for r in self._records] + [last.component_diameters]
+        verdict, diameters = self._verdict(traj)
         delta = self.delta
         sums = self._partial_sums
         violations = verdict["violations"]

@@ -483,13 +483,12 @@ def check_delta_equilibrium(state: OpinionState, delta: float) -> EquilibriumVer
 
 
 def _equality_matrix(x: np.ndarray, rel: float = 1e-14) -> np.ndarray:
-    """``opinions_equal`` for every pair of rows of ``x``, as a boolean
-    matrix; for a (B, n, d) stack of states, one matrix per state."""
-    scale = np.abs(x).max(axis=-1)
-    bound = rel * np.maximum(scale[..., :, None], scale[..., None, :])
-    equal = np.abs(x[..., :, None, 0] - x[..., None, :, 0]) <= bound
-    for k in range(1, x.shape[-1]):
-        equal &= np.abs(x[..., :, None, k] - x[..., None, :, k]) <= bound
+    """``opinions_equal`` for every pair of rows of ``x``, as a boolean matrix."""
+    scale = np.abs(x).max(axis=1)
+    bound = rel * np.maximum.outer(scale, scale)
+    equal = np.abs(x[:, None, 0] - x[None, :, 0]) <= bound
+    for k in range(1, x.shape[1]):
+        equal &= np.abs(x[:, None, k] - x[None, :, k]) <= bound
     return equal
 
 
@@ -512,43 +511,15 @@ def detect_merge_events(states: list) -> list[dict]:
     at t if it is equal at t (see opinions_equal) and unequal at t-1; the
     event is flagged ``departed`` if the pair separates again at any later
     recorded time. Each event is the dict that check reports and trajectory
-    sidecars hold, ``{"type": "merge", "t", "i", "j", "departed"}``. The
-    cost is one n-by-n equality matrix per state. Where several states fit
-    one block, one forward pass computes a block's equality matrices at
-    once and notes the last time each pair was unequal, which decides
-    ``departed`` at the end; else ``_merge_events_by_state`` runs. Events
-    come in ascending (t, i, j) order.
+    sidecars hold, ``{"type": "merge", "t", "i", "j", "departed"}``. One
+    backward pass keeps the pairs found unequal at some later time, so the
+    cost is one n-by-n equality matrix per state. Events come in ascending
+    (t, i, j) order.
     """
     if len(states) < 2:
         raise ValueError("merge detection needs a trajectory of length >= 2")
     n = states[0].shape[0]
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    # an equality block makes about four (B, n, n) temporaries of 8 bytes
-    block = geometry_block(n) // 4
-    if block <= 1:
-        return _merge_events_by_state(states, upper)
-    last_unequal = np.zeros((n, n), dtype=np.int64)  # 0 until a pair is unequal after time 0
-    equal = _equality_matrix(states[0])[None]
-    found = []
-    for lo in range(1, len(states), block):
-        # row s of equal is time lo - 1 + s
-        equal = np.concatenate([equal[-1:], _equality_matrix(np.array(states[lo:lo + block]))])
-        unequal = ~equal
-        m, i, j = np.nonzero(equal[1:] & unequal[:-1] & upper)
-        found.append((lo + m, i, j))
-        times = np.arange(lo, lo + len(equal) - 1)[:, None, None]
-        np.maximum(last_unequal, (unequal[1:] * times).max(axis=0), out=last_unequal)
-    t, i, j = (np.concatenate(parts) for parts in zip(*found))
-    return [{"type": "merge", "t": a, "i": b, "j": c, "departed": d}
-            for a, b, c, d in zip(t.tolist(), i.tolist(), j.tolist(),
-                                  (last_unequal[i, j] > t).tolist())]
-
-
-def _merge_events_by_state(states: list, upper: np.ndarray) -> list[dict]:
-    """``detect_merge_events`` one state at a time, for states too large
-    to share a block (``upper`` is the strict upper triangle of n-by-n):
-    one backward pass keeps the pairs found unequal at some later time."""
-    n = states[0].shape[0]
     unequal_later = np.zeros((n, n), dtype=bool)
     equal_now = _equality_matrix(states[-1])
     found = []

@@ -140,7 +140,7 @@ def test_monitor_records_equal_the_per_step_records(blocks, kind, flags, monkeyp
     assert json.dumps(checker.report(traj)) == json.dumps(oracle_check_report(traj))
 
 
-def test_merge_events_equal_the_pairwise_route_at_every_block_size(monkeypatch):
+def test_merge_events_equal_the_pairwise_route():
     # states on a coarse grid, so pairs merge, part and merge again, -0.0 among them
     rng = np.random.default_rng(11)
     events = 0
@@ -150,11 +150,8 @@ def test_merge_events_equal_the_pairwise_route_at_every_block_size(monkeypatch):
         for x in states:
             x[x == 0.0] = rng.choice((0.0, -0.0))
         want = oracle_merge_events(states)
-        # equality blocks of one state (the per-state pass) to one for all of them
-        for block in range(1, length + 1):
-            monkeypatch.setattr(dynamics, "MASK_BLOCK_BYTES", 8 * n * n * 4 * block)
-            got = [(e["t"], e["i"], e["j"], e["departed"]) for e in detect_merge_events(states)]
-            assert got == want, (n, d, length, block)
+        got = [(e["t"], e["i"], e["j"], e["departed"]) for e in detect_merge_events(states)]
+        assert got == want, (n, d, length)
         events += len(want)
     assert events > 100
 

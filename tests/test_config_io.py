@@ -194,13 +194,13 @@ CONFIG_ERRORS = [
     ("row.1 = 0.5", "row.1 = 0.5, 0.5",
      "<config>:13: initial row has 2 coordinates, expected d=1"),
     ("row.1 = 0.5", "row.1 = 0.5\nrow.2 = 0.5, 1.0",
-     "<config>: initial has 3 inline rows, expected n=2"),
+     "<config>:11: initial has 3 inline rows, expected n=2"),
     ("row.1 = 0.5", "row.2 = 0.5",
      "<config>: initial.row.1 is missing (rows must be contiguous from 0)"),
     ("row.1 = 0.5", "row.1 = half",
      "<config>:13: initial.row.1 must be a comma-separated list of numbers, got 'half'"),
     ("source = inline", "source = file",
-     "<config>: initial.source must be 'inline' or 'csv', got 'file'"),
+     "<config>:11: initial.source must be 'inline' or 'csv', got 'file'"),
     ("source = inline\n", "", "<config>: missing required key 'initial.source'"),
     ("energy = true", "energy = yes",
      "<config>:15: monitors.energy must be true or false, got 'yes'"),
@@ -236,6 +236,12 @@ class TestConfigErrors:
         with pytest.raises(ConfigError) as info:
             parse_config(path)
         assert str(info.value) == f"{path}:12: opinions must be finite (no NaN/Inf)"
+        # a CSV of the wrong shape names the initial.path line too
+        (tmp_path / "init.csv").write_text("agent,coord_0\n0,0.0\n1,0.5\n2,1.0\n",
+                                           encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == f"{path}:12: initial CSV has shape (3, 1), expected (2, 1)"
 
     def test_full_parses(self):
         cfg = parse_config_text(FULL)
