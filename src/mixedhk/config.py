@@ -42,8 +42,9 @@ from .errors import ConfigError
 _ROW_RE = re.compile(r"^(schedule|initial)\.row\.(\d+)$")
 
 
-def _parse_lines(text: str, path) -> dict:
-    entries = {}
+def _parse_lines(text: str, path) -> tuple:
+    """Each key's value text, and each key's line number."""
+    entries, lines = {}, {}
     section = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -59,10 +60,11 @@ def _parse_lines(text: str, path) -> dict:
         key, value = line.split("=", 1)
         key = key.strip()
         full = f"{section}.{key}" if section else key
-        if full in entries:
+        if full in lines:
             raise ConfigError(f"duplicate key {full!r}", path, lineno)
-        entries[full] = (value.strip(), lineno)
-    return entries
+        entries[full] = value.strip()
+        lines[full] = lineno
+    return entries, lines
 
 
 def _floats(value: str) -> list:
@@ -81,18 +83,18 @@ _MUST_BE = {int: "an integer", float: "a number",
 _REQUIRED = object()
 
 
-def _take(entries, path, key, convert=str, default=_REQUIRED, check=None):
+def _take(entries, lines, path, key, convert=str, default=_REQUIRED, check=None):
     """Pop ``key`` from ``entries`` and return its value through ``convert``.
 
     A missing key gives ``default``, or raises when the key is required. A
     value that ``convert`` rejects, or for which ``check`` returns a message,
-    raises a ConfigError naming the key's line.
+    raises a ConfigError naming the key's line in ``lines``.
     """
     if key not in entries:
         if default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}", path)
         return default
-    text, line = entries.pop(key)
+    text, line = entries.pop(key), lines[key]
     try:
         value = convert(text)
     except ValueError:
@@ -117,13 +119,12 @@ def _stubbornness(values, name, n):
     return None
 
 
-def _rows(entries, path, prefix):
+def _rows(entries, lines, path, prefix):
     """``(values, line)`` of the rows ``<prefix>0``, ``<prefix>1``, ...,
     which must be contiguous from 0."""
     rows = {}
     for key in [k for k in entries if k.startswith(prefix) and _ROW_RE.match(k)]:
-        line = entries[key][1]
-        rows[int(key[len(prefix):])] = (_take(entries, path, key, _floats), line)
+        rows[int(key[len(prefix):])] = (_take(entries, lines, path, key, _floats), lines[key])
     for i in range(len(rows)):
         if i not in rows:
             raise ConfigError(f"{prefix}{i} is missing (rows must be contiguous from 0)", path)
@@ -131,8 +132,8 @@ def _rows(entries, path, prefix):
 
 
 def parse_config_text(text: str, path="<config>") -> ModelConfig:
-    entries = _parse_lines(text, path)
-    take = partial(_take, entries, path)
+    entries, lines = _parse_lines(text, path)
+    take = partial(_take, entries, lines, path)
 
     n = take("n", int)
     d = take("d", int)
@@ -142,8 +143,8 @@ def parse_config_text(text: str, path="<config>") -> ModelConfig:
                          _rule(lambda v: v > 0, "consensus_tol must be positive"))
     seed = take("seed", int, 0)
 
-    kind_line = entries.get("schedule.kind", (None, None))[1]
     kind = take("schedule.kind")
+    kind_line = lines["schedule.kind"]
     if kind == "constant":
         if "schedule.alpha" not in entries:
             raise ConfigError("constant schedule requires schedule.alpha", path, kind_line)
@@ -154,7 +155,7 @@ def parse_config_text(text: str, path="<config>") -> ModelConfig:
         a = take("schedule.a", float, check=_rule(lambda v: v > 1, "schedule.a must be > 1"))
         schedule = StubbornnessSchedule("power_law", exponent=a)
     elif kind == "table":
-        rows = _rows(entries, path, "schedule.row.")
+        rows = _rows(entries, lines, path, "schedule.row.")
         if not rows:
             raise ConfigError("table schedule requires schedule.row.<t> entries", path, kind_line)
         for values, line in rows:
@@ -166,30 +167,28 @@ def parse_config_text(text: str, path="<config>") -> ModelConfig:
     else:
         raise ConfigError(f"unknown schedule kind {kind!r}", path, kind_line)
 
-    source_line = entries.get("initial.source", (None, None))[1]
     source = take("initial.source")
     if source == "inline":
-        rows = _rows(entries, path, "initial.row.")
+        rows = _rows(entries, lines, path, "initial.row.")
         if len(rows) != n:
             raise ConfigError(f"initial has {len(rows)} inline rows, expected n={n}",
-                              path, source_line)
+                              path, lines["initial.source"])
         for values, line in rows:
             if len(values) != d:
                 raise ConfigError(f"initial row has {len(values)} coordinates, expected d={d}",
                                   path, line)
         initial = np.array([v for v, _ in rows])
     elif source == "csv":
-        path_line = entries.get("initial.path", (None, None))[1]
         csv_path = take("initial.path")
         base = Path(path).parent if path not in ("<config>", "<scenario>") else Path(".")
         initial = read_initial_csv(Path(csv_path) if Path(csv_path).is_absolute()
                                    else base / csv_path)
         if initial.shape != (n, d):
             raise ConfigError(f"initial CSV has shape {initial.shape}, expected ({n}, {d})",
-                              path, path_line)
+                              path, lines["initial.path"])
     else:
         raise ConfigError(f"initial.source must be 'inline' or 'csv', got {source!r}",
-                          path, source_line)
+                          path, lines["initial.source"])
 
     # flag keys, when there are any, name exactly the monitors that run
     flags = {f: on for f in MONITOR_FLAGS
@@ -197,19 +196,19 @@ def parse_config_text(text: str, path="<config>") -> ModelConfig:
     monitors = tuple(f for f, on in flags.items() if on) if flags else DEFAULT_MONITORS
 
     if entries:
-        key, (_, line) = next(iter(entries.items()))
-        raise ConfigError(f"unknown key {key!r}", path, line)
+        key = next(iter(entries))
+        raise ConfigError(f"unknown key {key!r}", path, lines[key])
 
     try:
         return ModelConfig(initial=initial, epsilon=epsilon, schedule=schedule,
                            max_steps=max_steps, consensus_tol=consensus_tol,
                            seed=seed, monitors=monitors)
     except ValueError as exc:  # the state validator's: name the key it rejected
-        line = _rejected_line(text, path, initial, epsilon, rows if source == "inline" else None)
+        line = _rejected_line(lines, initial, epsilon, rows if source == "inline" else None)
         raise ConfigError(str(exc), path, line) from None
 
 
-def _rejected_line(text: str, path, initial: np.ndarray, epsilon: float, rows) -> int:
+def _rejected_line(lines: dict, initial: np.ndarray, epsilon: float, rows) -> int:
     """The line of the key whose value the state validator rejected in a
     config whose every value converted: ``n`` when there are no opinions,
     the first inline row holding a non-finite opinion, ``epsilon`` when it
@@ -217,7 +216,6 @@ def _rejected_line(text: str, path, initial: np.ndarray, epsilon: float, rows) -
     opinion (the opinions are too far apart). ``rows`` are the inline rows'
     ``(values, line)`` pairs in agent order; opinions read from a CSV file
     (``rows`` None) are named by the ``initial.path`` line."""
-    lines = {key: line for key, (_, line) in _parse_lines(text, path).items()}
     if initial.ndim != 2 or 0 in initial.shape:
         return lines["n"]
     bad = np.flatnonzero(~np.isfinite(initial).all(axis=1))

@@ -367,7 +367,7 @@ def neighbor_means(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return sums / counts[:, None]
 
 
-def step(state: OpinionState, alpha: np.ndarray, *, profile=None) -> OpinionState:
+def step(state: OpinionState, alpha: np.ndarray) -> OpinionState:
     """Advance the dynamics one step under stubbornness vector alpha.
 
     Every new opinion lies in the convex hull of the agent's neighbors'
@@ -375,20 +375,19 @@ def step(state: OpinionState, alpha: np.ndarray, *, profile=None) -> OpinionStat
     keep their opinion bit for bit; absolutely open-minded agents
     (alpha_i = 0) adopt the neighbor mean bit for bit. Neighbor means are
     computed for the other agents (the movers) only, so a step costs what
-    its movers cost. ``profile`` is the state's analysis (a
-    ``profile.StateAnalysis``) when the caller already has it: its ``mask``
-    and ``degrees`` are read instead of computed.
+    its movers cost.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (state.n,):
         raise ConfigError(f"alpha has shape {alpha.shape}, expected ({state.n},)")
     _check_alpha(alpha)
-    return OpinionState(state.t + 1, _advance(state, alpha, profile), state.epsilon)
+    return OpinionState(state.t + 1, _advance(state, alpha, None), state.epsilon)
 
 
 def _advance(state: OpinionState, alpha: np.ndarray, profile) -> np.ndarray:
     """The opinions one ``step`` after ``state`` under ``alpha``, which must
-    be a valid stubbornness vector for it; neither is validated."""
+    be a valid stubbornness vector for it; neither is validated. The mask
+    and degrees are read off ``profile``, the state's analysis, if given."""
     mask = neighbor_matrix(state) if profile is None else profile.mask
     degrees = mask.sum(axis=1) if profile is None else profile.degrees
     movers = np.flatnonzero((alpha != 1.0) & (degrees > 1))

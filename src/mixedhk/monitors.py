@@ -21,7 +21,8 @@ A ``Checker`` is the one verification engine, pushed each transition as
 alpha(t) and both states' analyses. It buffers its steps and settles a
 block of them at a time with one function, ``_settle_steps``, which makes
 each step's record (a plain dict, from ``_step_records``, which also makes
-``simulate``'s ``[monitors]`` records) and its violation counts;
+``simulate``'s ``[monitors]`` records) and counts every monitor's
+violations from one table of arrays;
 ``report``, or ``check_trajectory`` over stored states, aggregates them.
 ``interaction_equivalence`` and ``consensus_envelope_check`` read one such
 pass for data the report does not hold.
@@ -97,27 +98,19 @@ def consensus_envelope_check(traj: Trajectory, beta_cap: float) -> dict:
         return {"applicable": False, "surrogate": True}
     d0 = diams[t1]
     slack = 1e-9 * max(d0, 1.0)
-    prod = 1.0
-    capped = 0
-    envelope_ok = True
-    power_ok = True
-    for t in range(t1, traj.steps):
-        coeff = contraction_coefficient(traj.alphas[t])
-        prod *= coeff
-        if coeff <= beta_cap:
-            capped += 1
-        if diams[t + 1] > prod * d0 + slack:
-            envelope_ok = False
-        if diams[t + 1] > beta_cap**capped * d0 + slack:
-            power_ok = False
+    # capped[k]: how many of the first k steps from t1 have coefficient <= beta_cap
+    coeffs = contraction_coefficient(np.reshape(traj.alphas[t1:], (-1, traj.n)))
+    capped = [0] + np.cumsum(coeffs <= beta_cap).tolist()
+    later = np.array(diams[t1 + 1:])
+    powers = np.array([beta_cap**k for k in capped[1:]])
     return {
         "applicable": True,
         "surrogate": True,
         "t_trivial": t1,
-        "hypothesis_met": capped > 0,
-        "contracting_steps": capped,
-        "envelope_ok": envelope_ok,
-        "power_envelope_ok": power_ok,
+        "hypothesis_met": capped[-1] > 0,
+        "contracting_steps": capped[-1],
+        "envelope_ok": not (later > np.multiply.accumulate(coeffs) * d0 + slack).any(),
+        "power_envelope_ok": not (later > powers * d0 + slack).any(),
         "final_diameter": diams[-1],
     }
 
@@ -156,9 +149,9 @@ def interaction_equivalence(traj: Trajectory, delta: float) -> dict:
     """
     if not (0.0 < delta <= traj.epsilon / 4.0):
         raise ValueError(f"equivalence needs 0 < delta <= epsilon/4, got {delta}")
-    steps = _checked(traj, delta, hull=False).equivalence
-    return {"delta": delta, "steps": steps,
-            "mismatches": sum(not r["equivalent"] for r in steps),
+    checker = _checked(traj, delta, hull=False)
+    steps = checker.equivalence
+    return {"delta": delta, "steps": steps, "mismatches": checker.violations["equivalence"],
             "interaction_steps": [r["t"] for r in steps if r["interaction"]]}
 
 
@@ -188,10 +181,10 @@ def _interaction_times(epsilon: float, comp_cache: list, m_max: int = 64) -> lis
     return times
 
 
-def _step_records(steps: list, *, interaction: bool, hull: bool = False) -> list:
+def _step_records(steps: list, *, interaction: bool, hull: bool = False) -> tuple:
     """The records of a block of B ``steps``, each an (alpha, now, nxt)
     triple: the step under alpha from the state analysed by ``now`` to the
-    one analysed by ``nxt``.
+    one analysed by ``nxt``; and the ``block`` of arrays they are made of.
 
     Energy descent: the capped energy Z must drop by at least
     4 * sum_i c_i ||x_i(t) - x_i(t+1)||^2, where c_i = 1 + |N_i| alpha_i /
@@ -205,7 +198,10 @@ def _step_records(steps: list, *, interaction: bool, hull: bool = False) -> list
 
     Every value is computed for the whole block in one array expression
     whose per-step part adds in the order a single step's expression
-    does, so each has the bits of its one-step evaluation.
+    does, so each has the bits of its one-step evaluation. The ``block``
+    holds the stacked ``alphas``, opinions ``x``, ``move`` and ``degrees``,
+    each state's ``widest`` component diameter (the current states first),
+    the ``interacts`` list and the ``table`` of (applies, ok) arrays.
     """
     alphas = np.array([alpha for alpha, _, _ in steps], dtype=np.float64)
     nows, nxts = [now for _, now, _ in steps], [nxt for _, _, nxt in steps]
@@ -214,7 +210,8 @@ def _step_records(steps: list, *, interaction: bool, hull: bool = False) -> list
     comps, diameters, energies = settle_geometry(nows + nxts)
     d_now, d_next = diameters[:B], diameters[B:]
     e_now, e_next = energies[:B], energies[B:]
-    move = np.array([a.x for a in nxts]) - np.array([a.x for a in nows])
+    x = np.array([a.x for a in nows])
+    move = np.array([a.x for a in nxts]) - x
     degrees = np.array([a.degrees for a in nows])
 
     disp_sq = (move ** 2).sum(axis=2)
@@ -229,7 +226,7 @@ def _step_records(steps: list, *, interaction: bool, hull: bool = False) -> list
     interacts = [_interact(now, nxt) if interaction else None for now, nxt in zip(nows, nxts)]
     hulls = [HullBuffer().add(0, now, nxt.x).count_over(HULL_TOL) == 0 if hull else None
              for now, nxt in zip(nows, nxts)]
-    return [
+    records = [
         {"t": now.t, "energy": en, "energy_next": enx, "energy_drop": dr,
          "energy_drop_bound": bd, "energy_ok": ok, "contraction_coeff": bt if tv else None,
          "diam_global": dn, "diam_per_component": list(comp),
@@ -239,16 +236,21 @@ def _step_records(steps: list, *, interaction: bool, hull: bool = False) -> list
             nows, comps, e_now.tolist(), e_next.tolist(), drop.tolist(), bound.tolist(),
             energy_ok.tolist(), beta.tolist(), d_now.tolist(), disp_sq.tolist(),
             trivial.tolist(), contraction_ok.tolist(), nonexpansion_ok.tolist(), interacts, hulls)]
+    table = {"energy_descent": (True, energy_ok), "contraction": (trivial, contraction_ok),
+             "nonexpansion": (True, nonexpansion_ok)}
+    return records, {"alphas": alphas, "x": x, "move": move, "degrees": degrees,
+                     "widest": np.array([max(comp) for comp in comps]),
+                     "interacts": interacts, "table": table}
 
 
 def _settle_steps(steps: list, delta: float) -> dict:
     """Verify a block of B ``steps`` at once, given as to ``_step_records``.
 
     Returns the step ``records`` (with ``interaction`` set), the block's
-    violation ``counts`` (all but the equivalence count), the
-    ``equivalence`` records (one at each step whose current components are
-    all delta-trivial) and each step's budget ``terms`` (a (B, n) array),
-    each value with the bits of its one-step evaluation.
+    violation ``counts`` and each step's budget ``terms`` (a (B, n) array),
+    each value with the bits of its one-step evaluation. Every monitor is
+    one (applies, ok) pair of arrays in the block's table, and its count is
+    the number of entries where it applies and does not hold.
 
     Displacement floor: the step violates it unless sum_i ||move_i||^2 >
     2 delta^2 (1 - max alpha)^2 / n^8, for move = x(t+1) - x(t). The floor
@@ -256,53 +258,37 @@ def _settle_steps(steps: list, delta: float) -> dict:
     delta-nontrivial and every stubbornness entry is below one:
     restricting to a delta-nontrivial component reduces to the connected
     case, and both the component size and its maximum stubbornness only
-    tighten the bound.
+    tighten the bound. Interaction equivalence (delta <= epsilon/4 only)
+    applies as in ``interaction_equivalence``.
     """
-    records = _step_records(steps, interaction=True)
-    alphas = np.array([alpha for alpha, _, _ in steps], dtype=np.float64)
-    nows, nxts = [now for _, now, _ in steps], [nxt for _, _, nxt in steps]
+    records, block = _step_records(steps, interaction=True)
+    alphas, x, move, degrees = block["alphas"], block["x"], block["move"], block["degrees"]
     B, n = alphas.shape
-    eps = nows[0].epsilon
-    x_now = np.array([a.x for a in nows])
-    move = np.array([a.x for a in nxts]) - x_now
-    degrees = np.array([a.degrees for a in nows])
-    # the records settled every state's geometry
-    widest = np.array([max(r["diam_per_component"]) for r in records])
-    widest_next = np.array([max(a.component_diameters) for a in nxts])
-
+    eps = steps[0][1].epsilon
+    widest, widest_next = block["widest"][:B], block["widest"][B:]
     delta_trivial = widest <= delta
-    floor_applies = ~delta_trivial & ~(alphas >= 1.0).any(axis=1)
-    floor_fails = 0
-    if floor_applies.any():
-        k = floor_applies.sum()
-        lhs = (move[floor_applies] ** 2).reshape(k, -1).sum(axis=1)
-        floor = 2.0 * delta**2 * (1.0 - alphas[floor_applies].max(axis=1)) ** 2 / float(n**8)
-        floor_fails = int(k - np.count_nonzero(lhs > floor * (1.0 - 1e-9)))
 
-    equivalence = [
-        {"t": nows[k].t, "next_nontrivial": c1, "interaction": records[k]["interaction"],
-         "half_eps_nontrivial": c3, "equivalent": c1 == records[k]["interaction"] == c3}
-        for k, c1, c3 in zip(np.flatnonzero(delta_trivial).tolist(),
-                             (widest_next[delta_trivial] > delta).tolist(),
-                             (widest_next[delta_trivial] > eps / 2.0).tolist())]
+    # each row's sum adds its n*d squares in the order a one-step sum does
+    lhs = (move ** 2).reshape(B, -1).sum(axis=1)
+    floor_applies = ~delta_trivial & (alphas < 1.0).all(axis=1)
+    floor = 0.0
+    if floor_applies.any():  # then delta is below a diameter, so delta**2 is finite
+        floor = 2.0 * delta**2 * (1.0 - alphas.max(axis=1)) ** 2 / float(n**8)
+    c1, c2, c3 = widest_next > delta, np.array(block["interacts"]), widest_next > eps / 2.0
 
     # spreads of the agents with alpha_i < 1 only; the others' terms stay +0.0
     at, agents = np.nonzero(alphas < 1.0)
-    masks = np.array([a.mask for a in nows])
+    masks = np.array([now.mask for _, now, _ in steps])
     spread = np.zeros((B, n))
-    spread[at, agents] = neighbor_spread(x_now.reshape(B * n, -1), masks[at, agents],
-                                         at * n + agents)
+    spread[at, agents] = neighbor_spread(x.reshape(B * n, -1), masks[at, agents], at * n + agents)
     terms = (1.0 - alphas) * (1.0 - 1.0 / degrees) * spread
     # the per-row dot product that np.linalg.norm takes of one move
     movement = np.sqrt(np.matmul(move[..., None, :], move[..., :, None])[..., 0, 0])
-    counts = {
-        "energy_descent": sum(not r["energy_ok"] for r in records),
-        "contraction": sum(r["contraction_ok"] is False for r in records),
-        "nonexpansion": sum(not r["nonexpansion_ok"] for r in records),
-        "movement_bound": B * n - int(np.count_nonzero(movement <= terms + DIAM_SLACK)),
-        "displacement_floor": floor_fails,
-    }
-    return {"records": records, "counts": counts, "equivalence": equivalence, "terms": terms}
+    table = dict(block["table"], movement_bound=(True, movement <= terms + DIAM_SLACK),
+                 displacement_floor=(floor_applies, lhs > floor * (1.0 - 1e-9)),
+                 equivalence=(delta_trivial & (delta <= eps / 4.0), (c1 == c2) & (c2 == c3)))
+    counts = {key: int(np.count_nonzero(applies & ~ok)) for key, (applies, ok) in table.items()}
+    return {"records": records, "counts": counts, "terms": terms}
 
 
 class Checker:
@@ -324,10 +310,10 @@ class Checker:
     diameters that ``verdict`` reads. A run's ``[monitors]`` records are
     ``simulate``'s own, not a checker's. Besides the counters the checker
     keeps each agent's movement budget and O(n) values per step: the step's
-    record (whose component diameters give the settling and
-    first-interaction times) and its equivalence record when it has one
-    (``equivalence``, None when delta > epsilon/4). ``delta`` defaults to
-    epsilon/4.
+    record, whose component diameters give the settling and
+    first-interaction times and, with its ``interaction``, the
+    ``equivalence`` records, derived on read. Every violation count follows
+    one rule (``_settle_steps``). ``delta`` defaults to epsilon/4.
 
     Agent i's budget is the running sum of its terms (1 - a_i(t))
     (1 - 1/|N_i(t)|) max_{j in N_i} dist(i, j), and each step's
@@ -351,10 +337,10 @@ class Checker:
         if not (self.delta > 0):
             raise ValueError(f"delta must be positive, got {self.delta}")
         self.hull = hull
+        self.epsilon = epsilon
         self._violations = {"energy_descent": 0, "contraction": 0, "nonexpansion": 0,
                             "movement_bound": 0, "equivalence": 0, "hull": 0,
                             "displacement_floor": 0}
-        self._equivalence: Optional[list] = [] if self.delta <= epsilon / 4.0 else None
         self._records = []
         self._partial_sums: Optional[np.ndarray] = None
         self._pending = []  # (alpha, now, nxt) of the steps not settled yet
@@ -383,9 +369,6 @@ class Checker:
         for key, count in block["counts"].items():
             self._violations[key] += count
         self._records += block["records"]
-        if self._equivalence is not None:
-            self._equivalence += block["equivalence"]
-            self._violations["equivalence"] += sum(not r["equivalent"] for r in block["equivalence"])
         terms = block["terms"]
         if self._partial_sums is not None:
             terms[0] = self._partial_sums + terms[0]
@@ -401,9 +384,19 @@ class Checker:
 
     @property
     def equivalence(self) -> Optional[list]:
-        """The equivalence records of the pushed steps (None when delta > epsilon/4)."""
+        """The equivalence records of the pushed steps (None when delta >
+        epsilon/4), read off the step records and the last analysis."""
         self._settle()
-        return self._equivalence
+        if self.delta > self.epsilon / 4.0:
+            return None
+        widest = [max(r["diam_per_component"]) for r in self._records]
+        if self._last is not None:
+            widest.append(max(self._last.component_diameters))
+        delta, half_eps = self.delta, self.epsilon / 2.0
+        return [{"t": r["t"], "next_nontrivial": nxt > delta, "interaction": r["interaction"],
+                 "half_eps_nontrivial": nxt > half_eps,
+                 "equivalent": (nxt > delta) == r["interaction"] == (nxt > half_eps)}
+                for r, now, nxt in zip(self._records, widest, widest[1:]) if now <= delta]
 
     @property
     def records(self) -> list:

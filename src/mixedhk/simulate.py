@@ -55,7 +55,7 @@ def simulate(config: ModelConfig, checker: Optional[Checker] = None) -> Trajecto
         if metrics is not None:
             pending.append((alpha, analysis, next_analysis))
             if len(pending) == block:
-                metrics += record(pending)
+                metrics += record(pending)[0]
                 pending = []
         if nxt.x.tobytes() == state.x.tobytes():
             stop_reason = "steady"
@@ -66,7 +66,7 @@ def simulate(config: ModelConfig, checker: Optional[Checker] = None) -> Trajecto
             break
 
     if pending:
-        metrics += record(pending)
+        metrics += record(pending)[0]
     traj = Trajectory(
         n=config.n,
         d=config.d,

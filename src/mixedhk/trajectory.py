@@ -8,6 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import OpinionState
+from .errors import IntegrityError
 
 FORMAT_VERSION = 1
 
@@ -52,7 +53,11 @@ class Trajectory:
         return len(self.alphas)
 
     def state_at(self, t: int) -> OpinionState:
-        return OpinionState(t, self.states[t], self.epsilon)
+        """State t; one outside the numeric domain raises ``IntegrityError``."""
+        try:
+            return OpinionState(t, self.states[t], self.epsilon)
+        except ValueError as exc:
+            raise IntegrityError(f"state {t}: {exc}") from None
 
     def header(self) -> dict:
         return {

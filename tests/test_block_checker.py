@@ -31,6 +31,7 @@ from mixedhk.profile import detect_merge_events, first_members
 from conftest import (
     oracle_analyze_state,
     oracle_check_report,
+    oracle_interaction_equivalence,
     oracle_merge_events,
     oracle_one_run,
     oracle_step_record,
@@ -81,6 +82,8 @@ def test_reports_equal_the_per_step_route_at_every_block_boundary(kind, d, monke
         traj = simulate(cfg)
         changes += _mask_changes(traj)
         want = json.dumps(oracle_check_report(traj, hull=False))
+        want_equivalence = json.dumps(
+            oracle_interaction_equivalence(traj, cfg.epsilon / 4.0)["steps"])
         # one step per block up to one block for the whole run, so a block
         # ends after every step; and a budget the states do not fit
         budgets = [8 * n * n * blocks for blocks in range(1, steps + 2)] + [8 * n * n - 8]
@@ -89,6 +92,11 @@ def test_reports_equal_the_per_step_route_at_every_block_boundary(kind, d, monke
             assert json.dumps(check_trajectory(traj, hull=False)) == want, (n, budget)
             checker = Checker(cfg.epsilon, hull=False)
             assert json.dumps(checker.report(simulate(cfg, checker))) == want, (n, budget)
+            assert json.dumps(checker.equivalence) == want_equivalence, (n, budget)
+            # delta above epsilon/4 keeps no equivalence
+            checker = Checker(cfg.epsilon, cfg.epsilon / 2.0, hull=False)
+            simulate(cfg, checker)
+            assert checker.equivalence is None, (n, budget)
         monkeypatch.setattr(dynamics, "MASK_BLOCK_BYTES", 8 * n * n * 4)
         assert json.dumps(check_trajectory(traj)) == json.dumps(oracle_check_report(traj))
         delta = cfg.epsilon / 8.0

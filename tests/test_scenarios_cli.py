@@ -242,6 +242,28 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("name, text, t", [
+        ("nan.csv", MAGIC + "\n# header=" + HEADER + "\nt,agent,x_0,alpha\n"
+         "0,0,nan,0.0\n0,1,0.5,0.0\n1,0,0.25,\n1,1,0.25,\n", 0),
+        ("inf.json", '{"header": ' + HEADER + ', "states": [[[0.0], [0.5]], [[0.25], ["inf"]]], '
+         '"alphas": [[0.0, 0.0]]}', 1),
+    ], ids=["nan-csv", "inf-json"])
+    def test_stored_states_outside_the_numeric_domain_name_the_state(self, tmp_path, capsys,
+                                                                     name, text, t):
+        from mixedhk import IntegrityError
+
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        message = f"state {t}: opinions must be finite (no NaN/Inf)"
+        with pytest.raises(IntegrityError) as info:
+            check_trajectory(read_trajectory(path))
+        assert str(info.value) == message
+        for argv in (["check", "--trajectory", str(path)],
+                     ["spectral", "--trajectory", str(path), "--step", str(t)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("text", [
         MAGIC + "\n# header=" + HEADER + "\nt,agent,x_0,alpha\n",  # no states
         '{"header": ' + HEADER + ', "states": [], "alphas": []}',  # no states

@@ -33,7 +33,7 @@ from mixedhk import (
     step,
     write_trajectory,
 )
-from mixedhk.dynamics import SCHEDULE_KINDS, squared_distances
+from mixedhk.dynamics import SCHEDULE_KINDS, _advance, squared_distances
 from mixedhk.profile import analyze_state, neighbor_spread, opinions_equal
 from conftest import (
     all_graphs,
@@ -266,15 +266,15 @@ def test_trajectory_monitors_reject_a_file_without_states(tmp_path):
 
 
 @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
-def test_step_reads_the_degrees_of_the_given_profile(kind):
+def test_advance_reads_the_degrees_of_the_given_profile(kind):
     cfg = _config(kind, 2, seed=5 + SCHEDULE_KINDS.index(kind))
     state = OpinionState(0, cfg.initial, cfg.epsilon)
     alpha = cfg.schedule.alpha_at(0, cfg.n, cfg.seed)
     analysis = analyze_state(state)
-    assert step(state, alpha, profile=analysis).x.tobytes() == step(state, alpha).x.tobytes()
+    assert _advance(state, alpha, analysis).tobytes() == step(state, alpha).x.tobytes()
     # degrees of one make every agent isolated, whatever its mask row says
     isolated = SimpleNamespace(mask=analysis.mask, degrees=np.ones(cfg.n, dtype=int))
-    assert step(state, alpha, profile=isolated).x.tobytes() == state.x.tobytes()
+    assert _advance(state, alpha, isolated).tobytes() == state.x.tobytes()
 
 
 def _same_analysis(got, want) -> bool:
