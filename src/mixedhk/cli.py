@@ -12,6 +12,7 @@ list), so every value has one spelling and numbers keep their JSON bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -25,7 +26,7 @@ import numpy as np
 from .batch import batch_run
 from .config import parse_config
 from .dynamics import OpinionState, _check_alpha
-from .errors import MixedHKError
+from .errors import IntegrityError, MixedHKError
 from .monitors import check_trajectory
 from .profile import build_profile
 from .scenarios import SCENARIOS, run_scenario
@@ -131,9 +132,20 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Prefix ``path`` to an ``IntegrityError`` raised inside: a stored
+    state outside the numeric domain names only its state."""
+    try:
+        yield
+    except IntegrityError as exc:
+        raise IntegrityError(f"{path}: {exc}") from None
+
+
 def _cmd_check(args) -> int:
     traj = read_trajectory(args.trajectory)
-    report = check_trajectory(traj, args.delta, hull=not args.no_hull)
+    with _naming(args.trajectory):
+        report = check_trajectory(traj, args.delta, hull=not args.no_hull)
     compact = {k: v for k, v in report.items() if k != "per_step"}
     _emit(report if args.out else compact, args.out, args.format)
     if args.out:
@@ -152,7 +164,8 @@ def _cmd_spectral(args) -> int:
         if not (0 <= args.step < len(traj.states)):
             raise MixedHKError(f"--step {args.step} outside recorded range "
                                f"0..{len(traj.states) - 1}")
-        state = traj.state_at(args.step)
+        with _naming(args.trajectory):
+            state = traj.state_at(args.step)
     profile = build_profile(state)
     obstacle = _chain_obstacle(profile)
     L = laplacian(profile)

@@ -36,8 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import IntegrityError
-from .profile import (HullBuffer, StateAnalysis, analyze_state, detect_merge_events, geometry_block,
-                      neighbor_spread, settle_geometry)
+from .profile import (HullBuffer, StateAnalysis, analyze_state, analyze_states, detect_merge_events,
+                      geometry_block, neighbor_spread, settle_geometry)
 from .trajectory import Trajectory
 
 ENERGY_SLACK = 1e-9  # relative to n^2 eps^2
@@ -302,8 +302,10 @@ class Checker:
     before any read of ``violations``, ``equivalence``, ``records``,
     ``verdict`` or ``report``. So the checker holds at most one block of
     analyses, each with its n-by-n mask and, when the state fits one mask
-    block, its squared-distance matrix, which the block's geometry is
-    computed from (``profile.settle_geometry``), and its hull buffer holds
+    block and its geometry is not known yet (``simulate`` and
+    ``check_trajectory`` push analyses whose geometry their block
+    analysis computed), its squared-distance matrix, which its geometry is
+    computed from on first read, and its hull buffer holds
     at most ``HULL_BUFFER_BYTES`` plus one step's vertex sets. A block's
     size changes no value: each is computed as one step's would be.
     ``report`` only aggregates, from the final analysis and the component
@@ -474,15 +476,23 @@ class Checker:
 
 def _checked(traj: Trajectory, delta: Optional[float], *, hull: bool) -> Checker:
     """A ``Checker`` fed every stored transition of ``traj`` in one pass,
-    each state analysed once: the one loop over stored states."""
+    each state analysed once: the one loop over stored states. The states
+    are validated one at a time (``Trajectory.state_at``) and analysed a
+    block at a time, as the checker settles them
+    (``profile.analyze_states``)."""
     if not traj.states:
         raise IntegrityError("the trajectory has no states to check")
     checker = Checker(traj.epsilon, delta, hull=hull)
     now = analyze_state(traj.state_at(0))
-    for t in range(traj.steps):
-        nxt = analyze_state(traj.state_at(t + 1), now)
-        checker.push(traj.alphas[t], now, nxt)
-        now = nxt
+    block = max(1, geometry_block(traj.n))
+    for t0 in range(0, traj.steps, block):
+        times = range(t0 + 1, min(t0 + block, traj.steps) + 1)
+        nxts = analyze_states([traj.state_at(t).x for t in times], traj.epsilon, t0 + 1, now,
+                              geometry=True)
+        for t, nxt in zip(times, nxts):
+            checker.push(traj.alphas[t - 1], now, nxt)
+            now = nxt
+        del nxts
     return checker
 
 

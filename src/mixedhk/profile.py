@@ -8,20 +8,21 @@ dicts that check reports and trajectory sidecars hold.
 
 One ``StateAnalysis`` per state holds everything the monitors read off it:
 the neighbor mask, degrees and component labels, and the component
-diameters, the state's diameter and the capped energy. The mask, degrees
-and labels are computed when the analysis is made, the mask in row
-blocks, so a run that reads only the mask and its consensus test
-(``components_within`` rejects most states from one distance per agent)
-computes no geometry. The geometry is computed on first read by one
-kernel, ``block_geometry``, over a (B, n, n) stack of squared-distance
-matrices: for one state, or for the block of states a ``Checker`` settles
-at once (``settle_geometry``). A state that fits one mask block keeps its
-squared-distance matrix, the mask's one block, for that kernel, so no
-distance is computed twice. Each of these values equals, bit for bit,
-what its single-purpose routine computes (``neighbor_matrix`` and its row
-sums, ``diameter``, and for the energy one sum of the capped
-``squared_distances``). A
-``StateAnalysis`` is a ``Profile``: the mask is the only form in which a
+diameters, the state's diameter and the capped energy. ``analyze_states``
+analyses a block of states at once (``analyze_state`` is its one-state
+case): masks, degrees and labels when the analyses are made, from one
+(B, n, n) stack of squared-distance matrices when a state fits one mask
+block, else in row blocks, so a run that reads only the masks and its
+consensus test (``first_within`` rejects most states from one distance
+per agent) computes no geometry. The geometry is computed by one kernel,
+``block_geometry``, over such a stack: for the block when asked (as
+``simulate`` and ``check_trajectory`` ask when they check or record every
+state), else on first read, for one state. A state keeps its
+squared-distance matrix until then, so no distance is computed twice.
+Each of these values equals, bit for bit, what its single-purpose routine
+computes (``neighbor_matrix`` and its row sums, ``diameter``, and for the
+energy one sum of the capped ``squared_distances``). A ``StateAnalysis``
+is a ``Profile``: the mask is the only form in which a
 profile graph is held. The independent pure-Python edge and merge-detection
 routes, the eager analysis, the per-agent hull check and a scalar Wolfe
 loop live in the tests as oracles, so agreement between this module, the
@@ -37,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from . import dynamics
-from .dynamics import OpinionState, _neighbor_mask, squared_distances
+from .dynamics import OpinionState, _neighbor_mask, _squared_distance_stack, squared_distances
 from .errors import NumericalFailure
 from .wolfe import MAX_ITER, min_norm_distances
 
@@ -127,12 +128,12 @@ class StateAnalysis(Profile):
 
     The neighbor mask, degrees and component labels are computed when the
     analysis is made. The geometry (``component_diameters``, ``diameter``
-    and ``energy``) is computed on first read by ``block_geometry``, for
-    this state alone, or for a block of states at once when a ``Checker``
-    settles its buffered steps (``settle_geometry``). When the state fits
-    one mask block, its squared-distance matrix, which the mask came from,
-    is kept until then, so no distance is computed twice; once the geometry
-    is known the matrix is dropped. Each value equals, bit for bit, what the
+    and ``energy``) is computed by ``block_geometry``: for a block of
+    states at once when ``analyze_states`` is asked for it, else on first
+    read, for this state alone. When the state fits one mask block, its
+    squared-distance matrix, which the mask came from, is kept until then,
+    so no distance is computed twice; once the geometry is known the matrix
+    is dropped. Each value equals, bit for bit, what the
     single-purpose routine computes (``neighbor_matrix``, ``diameter`` of
     the state and of each component, and one sum of the capped
     ``squared_distances``).
@@ -147,7 +148,8 @@ class StateAnalysis(Profile):
 
     def _read_geometry(self) -> tuple:
         if self._geometry is None:
-            settle_geometry([self])
+            d2 = squared_distances(self.x) if self._d2 is None else self._d2
+            _set_geometry([self], d2[None])
         return self._geometry
 
     @property
@@ -166,22 +168,41 @@ class StateAnalysis(Profile):
         return self._read_geometry()[2]
 
     def components_within(self, tol: float) -> bool:
-        """True iff every component's diameter is at most ``tol``.
+        """True iff every component's diameter is at most ``tol``: the
+        one-state case of ``first_within``."""
+        return first_within([self], tol) == 0
 
-        Rejects cheaply first: an agent farther than ``tol`` from its
-        component's first member proves a component wider than ``tol``,
-        because that distance has the bits of its squared-distance entry and
-        sqrt is monotone. Only otherwise are the component diameters read.
-        When they are known already, they decide at once.
-        """
-        if self._geometry is None:
-            offsets = self.x - self.x[first_members(self.labels)]
-            dist2 = offsets[:, 0] ** 2
-            for k in range(1, offsets.shape[1]):
-                dist2 = dist2 + offsets[:, k] ** 2
-            if (np.sqrt(dist2) > tol).any():
-                return False
-        return all(dm <= tol for dm in self.component_diameters)
+
+def first_within(analyses: list, tol: float) -> Optional[int]:
+    """The index of the first of ``analyses`` (of states of one shape)
+    whose every component's diameter is at most ``tol``, or None.
+
+    Rejects cheaply first, for every state whose geometry is not known, in
+    one array pass over their stacked opinions: an agent farther than
+    ``tol`` from its component's first member proves a component wider
+    than ``tol``, because that distance has the bits of its
+    squared-distance entry and sqrt is monotone. Only the states left are
+    read for their component diameters, in order, up to the first within
+    ``tol``; known diameters decide at once.
+    """
+    lazy = [a for a in analyses if a._geometry is None]
+    far = {}
+    if lazy:
+        firsts = {}  # consecutive states often share one labels array
+        for a in lazy:
+            if id(a.labels) not in firsts:
+                firsts[id(a.labels)] = first_members(a.labels)
+        x = np.array([a.x for a in lazy])
+        first = np.array([firsts[id(a.labels)] for a in lazy])
+        offsets = x - x[np.arange(len(lazy))[:, None], first]
+        dist2 = offsets[..., 0] ** 2
+        for c in range(1, offsets.shape[2]):
+            dist2 = dist2 + offsets[..., c] ** 2
+        far = dict(zip(map(id, lazy), (np.sqrt(dist2) > tol).any(axis=1).tolist()))
+    for k, a in enumerate(analyses):
+        if not far.get(id(a)) and all(dm <= tol for dm in a.component_diameters):
+            return k
+    return None
 
 
 def first_members(labels: np.ndarray) -> np.ndarray:
@@ -220,32 +241,22 @@ def block_geometry(d2: np.ndarray, labels: np.ndarray, epsilon: float) -> tuple:
 
 
 def settle_geometry(analyses: list) -> tuple:
-    """The geometry of every analysis in ``analyses`` (all of states with
-    the same epsilon and number of agents): a list of each one's component
-    diameters, and arrays of their diameters and energies. Those that have
-    no geometry yet get it from one ``block_geometry`` call over their
-    stacked squared-distance matrices: the kept ones, else one
-    ``squared_distances`` call each."""
-    todo = list({id(a): a for a in analyses if a._geometry is None}.values())
-    if todo:
-        n = todo[0].n
-        d2 = np.empty((len(todo), n, n)) if len(todo) > 1 else None
-        for k, a in enumerate(todo):
-            matrix = squared_distances(a.x) if a._d2 is None else a._d2
-            # each kept matrix is let go once copied, so the block is held about once
-            object.__setattr__(a, "_d2", None)
-            if d2 is None:
-                d2 = matrix[None]
-            else:
-                d2[k] = matrix
-        labels = np.array([a.labels for a in todo])
-        comps, diameters, energies = block_geometry(d2, labels, todo[0].epsilon)
-        for a, row, k, diam, energy in zip(todo, comps.tolist(), (labels.max(axis=1) + 1).tolist(),
-                                           diameters.tolist(), energies.tolist()):
-            object.__setattr__(a, "_geometry", (row[:k], diam, energy))
-    geometry = [a._geometry for a in analyses]
+    """The geometry of every analysis in ``analyses``: a list of each one's
+    component diameters, and arrays of their diameters and energies."""
+    geometry = [a._read_geometry() for a in analyses]
     return ([g[0] for g in geometry], np.array([g[1] for g in geometry]),
             np.array([g[2] for g in geometry]))
+
+
+def _set_geometry(analyses: list, d2: np.ndarray) -> None:
+    """Give each of ``analyses`` its geometry, from the stack ``d2`` of
+    their squared-distance matrices (capped in place), and let go of the
+    matrices they keep."""
+    labels = np.array([a.labels for a in analyses])
+    comps, diameters, energies = block_geometry(d2, labels, analyses[0].epsilon)
+    for a, row, k, diam, energy in zip(analyses, comps.tolist(), (labels.max(axis=1) + 1).tolist(),
+                                       diameters.tolist(), energies.tolist()):
+        a.__dict__.update(_geometry=(row[:k], diam, energy), _d2=None)
 
 
 def neighbor_spread(x: np.ndarray, rows: np.ndarray, agents: np.ndarray) -> np.ndarray:
@@ -272,26 +283,53 @@ def neighbor_spread(x: np.ndarray, rows: np.ndarray, agents: np.ndarray) -> np.n
 
 
 def analyze_state(state: OpinionState, previous: Optional[StateAnalysis] = None) -> StateAnalysis:
-    """Analyze one state: its neighbor mask (built in row blocks, as
-    ``neighbor_matrix`` builds it), degrees and component labels now, and
-    its geometry on first read. When the state fits one mask block, the
-    mask's block, the whole squared-distance matrix, is kept for the
-    geometry.
+    """Analyze one state: the one-state case of ``analyze_states``."""
+    return analyze_states([state.x], state.epsilon, state.t, previous)[0]
 
-    ``previous`` is another state's analysis, in practice the one before:
-    when its neighbor mask equals this state's, its component labels are
-    reused instead of searched again. Only the labels array is shared, so
-    ``previous`` itself is not kept alive.
+
+def analyze_states(xs: list, epsilon: float, t0: int, previous: Optional[StateAnalysis] = None,
+                   known: tuple = (), *, geometry: bool = False) -> list:
+    """Analyze the states whose opinions ``xs`` (valid (n, d) arrays) hold
+    at times t0, t0 + 1, ...: each one's neighbor mask, degrees and
+    component labels now, its geometry on first read, or now for those
+    that keep their squared distances when ``geometry`` is set, by one
+    ``block_geometry`` call.
+
+    ``known`` holds the (mask, degrees, squared distances or None) of the
+    leading states, where the caller built them. The others' masks are
+    built as ``neighbor_matrix`` builds them: from one stack of their
+    squared-distance matrices when several states fit one mask block each;
+    else one state at a time, in row blocks. The matrices, when built
+    whole, are kept for the geometry. A state whose mask
+    equals the one before it (``previous``'s, for the first) shares that
+    state's labels array instead of searching them again.
     """
-    mask, d2 = _neighbor_mask(state.x, state.epsilon)
-    degrees = mask.sum(axis=1)
-    # equal degrees first: they are cheap and usually differ when the mask does
-    if (previous is not None and degrees.tobytes() == previous.degrees.tobytes()
-            and mask.tobytes() == previous.mask.tobytes()):
-        labels = previous.labels
+    known = list(known)
+    stack = None
+    rest = xs[len(known):]
+    if len(rest) > 1 and geometry_block(xs[0].shape[0]):
+        stack = _squared_distance_stack(np.array(rest))
+        masks = stack <= epsilon * epsilon
+        known += zip(masks, masks.sum(axis=2), stack)
     else:
-        labels = _component_labels(mask, degrees)
-    return StateAnalysis(state.t, mask, labels, degrees, state.x, state.epsilon, None, d2)
+        known += [(mask, mask.sum(axis=1), d2)
+                  for mask, d2 in (_neighbor_mask(x, epsilon) for x in rest)]
+    analyses = []
+    for k, (x, (mask, degrees, d2)) in enumerate(zip(xs, known)):
+        # equal degrees first: they are cheap and usually differ when the mask does
+        if (previous is not None and degrees.tobytes() == previous.degrees.tobytes()
+                and mask.tobytes() == previous.mask.tobytes()):
+            labels = previous.labels
+        else:
+            labels = _component_labels(mask, degrees)
+        previous = StateAnalysis(t0 + k, mask, labels, degrees, x, epsilon, None, d2)
+        analyses.append(previous)
+    kept = [a for a in analyses if a._d2 is not None] if geometry else []
+    if kept:
+        # the stack built here serves as is when it holds every kept matrix
+        whole = stack is not None and len(stack) == len(kept)
+        _set_geometry(kept, stack if whole else np.array([a._d2 for a in kept]))
+    return analyses
 
 
 def geometry_block(n: int) -> int:

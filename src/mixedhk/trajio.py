@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dynamics import _check_epsilon
 from .errors import IntegrityError
 from .trajectory import FORMAT_VERSION, Trajectory
 
@@ -293,6 +294,10 @@ def _parse_rows(rows: list, lines: list, n: int, d: int, path: Path) -> tuple[li
 def _check_shapes(header: dict, states, alphas, path):
     # a header-only file (no states at all) is a valid empty trajectory
     n, d = header["n"], header["d"]
+    try:
+        _check_epsilon(header["epsilon"], n)
+    except ValueError as exc:
+        raise IntegrityError(f"{path}: header: {exc}") from None
     expected = max(len(states) - 1, 0)
     if len(alphas) != expected:
         raise IntegrityError(f"{path}: {len(states)} states need {expected} "

@@ -673,6 +673,80 @@ def oracle_consensus_envelope_check(traj, beta_cap: float) -> dict:
             "final_diameter": diameter(traj.states[-1])}
 
 
+def oracle_schedule_alpha(schedule, t: int, n: int, seed=None) -> np.ndarray:
+    """A schedule's stubbornness vector at time t, one time at a time: the
+    asynchronous agent drawn by numpy's own generator, seeded by
+    SeedSequence((key, t)). The scalar route the block draw replaced."""
+    from mixedhk.errors import ConfigError, ScheduleExhaustedError
+
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    if schedule.kind == "synchronous":
+        return np.zeros(n)
+    if schedule.kind == "constant":
+        if schedule.alpha.shape[0] != n:
+            raise ConfigError(f"constant alpha has length {schedule.alpha.shape[0]}, expected {n}")
+        return schedule.alpha.copy()
+    if schedule.kind == "power_law":
+        return np.full(n, 1.0 - min(1.0, 1.0 / float(t + 1) ** schedule.exponent))
+    if schedule.kind == "table":
+        if t >= len(schedule.table):
+            raise ScheduleExhaustedError(
+                f"table schedule has {len(schedule.table)} rows, queried at t={t}")
+        row = schedule.table[t]
+        if row.shape[0] != n:
+            raise ConfigError(f"table row {t} has length {row.shape[0]}, expected {n}")
+        return row.copy()
+    key = schedule.seed if schedule.seed is not None else seed
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(key) & (2**64 - 1), int(t))))
+    a = np.ones(n)
+    a[int(rng.integers(0, n))] = 0.0
+    return a
+
+
+def oracle_simulate(config, checker=None):
+    """The run one step at a time: each alpha from ``oracle_schedule_alpha``,
+    each update from the full neighbor mask, each state analysed eagerly
+    (``oracle_analyze_state``) and tested for a steady step, then for
+    consensus; ``checker`` (an ``OracleChecker``) is pushed every step and
+    the ``[monitors]`` records are made one step at a time. The per-state
+    loop that block simulation replaced."""
+    from mixedhk.dynamics import OpinionState, _advance
+    from mixedhk.profile import detect_merge_events
+    from mixedhk.trajectory import Trajectory
+
+    flags = set(config.monitors)
+    metrics = [] if flags - {"merge"} else None
+    now = oracle_analyze_state(OpinionState(0, config.initial.copy(), config.epsilon))
+    states, alphas = [now.x], []
+    stop_reason = "horizon"
+    for t in range(config.max_steps):
+        alpha = oracle_schedule_alpha(config.schedule, t, config.n, config.seed)
+        x = _advance(now.x, alpha, now.mask, now.degrees)
+        nxt = oracle_analyze_state(OpinionState(t + 1, x, config.epsilon))
+        states.append(x)
+        alphas.append(alpha)
+        if checker is not None:
+            checker.push(alpha, now, nxt)
+        if metrics is not None:
+            metrics.append(oracle_step_record(alpha, now, nxt, interaction="interaction" in flags,
+                                              hull="hull" in flags))
+        if x.tobytes() == now.x.tobytes():
+            stop_reason = "steady"
+            break
+        now = nxt
+        if all(dm <= config.consensus_tol for dm in now.component_diameters):
+            stop_reason = "consensus"
+            break
+    traj = Trajectory(n=config.n, d=config.d, epsilon=config.epsilon,
+                      schedule=config.schedule.descriptor(), seed=config.seed, states=states,
+                      alphas=alphas, stop_reason=stop_reason,
+                      consensus_tol=config.consensus_tol, metrics=metrics)
+    if "merge" in flags:
+        traj.events = detect_merge_events(states)
+    return traj
+
+
 def oracle_one_run(config, seed: int, delta, hull: bool) -> dict:
     """One batch run's record by the two-pass route: simulate with every
     monitor off, then check the stored trajectory from scratch by the

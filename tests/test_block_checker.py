@@ -207,16 +207,24 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("shape", ("batch-async", "check-n120"))
+@pytest.mark.parametrize("shape", ("batch-async", "simulate-async", "simulate-n120",
+                                   "check-n120"))
 def test_block_buffer_memory_is_bounded_by_its_budget(shape, monkeypatch):
     # the two shapes of the benchmark that check many small steps, and many
-    # larger ones; traced peaks measured at 1.9 MiB and 1.2 MiB
+    # larger ones, and the runs alone, which analyse a block of states as one
+    # stack; traced peaks measured at 1.7, 1.1, 0.7 and 0.9 MiB
     rng = np.random.default_rng(7)
-    if shape == "batch-async":
-        n, limit = 30, 2.5 * 2**20
+    if shape.endswith("async"):
+        n, limit = 30, (2.5 if shape == "batch-async" else 1.5) * 2**20
         cfg = ModelConfig(rng.uniform(0.0, 6.0, (n, 1)), 1.0, StubbornnessSchedule("asynchronous"),
                           400, seed=7, monitors=())
-        run = lambda: batch_run(cfg, 1, 102)  # noqa: E731
+        run = lambda: batch_run(cfg, 1, 102) if shape == "batch-async" else simulate(cfg)  # noqa: E731
+    elif shape == "simulate-n120":
+        n, limit = 120, 1.6 * 2**20
+        cfg = ModelConfig(rng.uniform(0.0, 8.8, (n, 2)), 1.0,
+                          StubbornnessSchedule("constant", alpha=rng.choice((0.0, 0.3, 0.6), n)),
+                          40, seed=7, monitors=())
+        run = lambda: simulate(cfg)  # noqa: E731
     else:
         n, limit = 120, 1.6 * 2**20
         cfg = ModelConfig(rng.uniform(0.0, 8.8, (n, 2)), 1.0,
@@ -229,6 +237,7 @@ def test_block_buffer_memory_is_bounded_by_its_budget(shape, monkeypatch):
     default = _traced_peak(run)
     monkeypatch.setattr(dynamics, "MASK_BLOCK_BYTES", 8 * n * n)  # one step per block
     one_step = _traced_peak(run)
-    # the buffered matrices, and the stack they are copied into, one at a time
+    # the buffered matrices, and the stack they are copied into (or the
+    # block's stack of squared distances and its scratch), one at a time
     assert default - one_step <= 2 * budget
     assert default <= limit

@@ -121,15 +121,22 @@ def test_geometry_on_demand_equals_the_eager_analysis(d, monkeypatch):
 
 
 def _count_squared_distances(monkeypatch) -> list:
-    """Count squared_distances calls in every module that calls it."""
+    """Count the states whose squared distances are computed, by
+    squared_distances or a stack of them, in every module that calls them."""
     calls = [0]
+    stack = dynamics._squared_distance_stack
 
     def counted(x):
         calls[0] += 1
         return squared_distances(x)
 
+    def counted_stack(xs):
+        calls[0] += len(xs)
+        return stack(xs)
+
     for module in (dynamics, profile):
         monkeypatch.setattr(module, "squared_distances", counted)
+        monkeypatch.setattr(module, "_squared_distance_stack", counted_stack)
     return calls
 
 

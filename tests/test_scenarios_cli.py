@@ -258,11 +258,33 @@ class TestCli:
         with pytest.raises(IntegrityError) as info:
             check_trajectory(read_trajectory(path))
         assert str(info.value) == message
+        # the command line names the file as well as the state
         for argv in (["check", "--trajectory", str(path)],
                      ["spectral", "--trajectory", str(path), "--step", str(t)]):
             assert main(argv) == 2
             captured = capsys.readouterr()
-            assert captured.out == "" and captured.err == f"error: {message}\n"
+            assert captured.out == "" and captured.err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("name, text", [
+        ("tiny.csv", MAGIC + "\n# header=" + HEADER.replace("1.0", "1e-310")
+         + "\nt,agent,x_0,alpha\n0,0,0.0,0.0\n0,1,0.5,0.0\n1,0,0.25,\n1,1,0.25,\n"),
+        ("tiny.json", '{"header": ' + HEADER.replace("1.0", "1e-310")
+         + ', "states": [[[0.0], [0.5]], [[0.25], [0.25]]], "alphas": [[0.0, 0.0]]}'),
+    ], ids=["csv", "json"])
+    def test_a_header_epsilon_outside_the_numeric_domain_names_the_header(
+            self, tmp_path, capsys, name, text):
+        from mixedhk import IntegrityError
+
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        message = (f"{path}: header: epsilon**2 must be a normal float (so the neighbor "
+                   f"predicate compares exactly), got epsilon=1e-310")
+        with pytest.raises(IntegrityError) as info:
+            read_trajectory(path)
+        assert str(info.value) == message
+        assert main(["check", "--trajectory", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("text", [
         MAGIC + "\n# header=" + HEADER + "\nt,agent,x_0,alpha\n",  # no states

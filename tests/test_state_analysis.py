@@ -271,10 +271,11 @@ def test_advance_reads_the_degrees_of_the_given_profile(kind):
     state = OpinionState(0, cfg.initial, cfg.epsilon)
     alpha = cfg.schedule.alpha_at(0, cfg.n, cfg.seed)
     analysis = analyze_state(state)
-    assert _advance(state, alpha, analysis).tobytes() == step(state, alpha).x.tobytes()
+    assert (_advance(state.x, alpha, analysis.mask, analysis.degrees).tobytes()
+            == step(state, alpha).x.tobytes())
     # degrees of one make every agent isolated, whatever its mask row says
-    isolated = SimpleNamespace(mask=analysis.mask, degrees=np.ones(cfg.n, dtype=int))
-    assert _advance(state, alpha, isolated).tobytes() == state.x.tobytes()
+    isolated = np.ones(cfg.n, dtype=int)
+    assert _advance(state.x, alpha, analysis.mask, isolated).tobytes() == state.x.tobytes()
 
 
 def _same_analysis(got, want) -> bool:
@@ -359,20 +360,22 @@ def test_budgets_of_stubborn_agents_with_a_large_spread():
 
 
 def _track_analyses(monkeypatch) -> dict:
-    """Patch analyze_state where the check and the run call it; the returned
-    dict counts the calls and the most analyses alive at once."""
+    """Patch analyze_states (and analyze_state, its one-state case) where
+    the check and the run call them; the returned dict counts the analyses
+    made and the most alive at once."""
     made = []
     seen = {"calls": 0, "most": 0}
+    analyze_states = PROFILE.analyze_states
 
-    def tracked(state, *args, **kwargs):
-        analysis = analyze_state(state, *args, **kwargs)
-        made.append(weakref.ref(analysis))
-        seen["calls"] += 1
+    def tracked(*args, **kwargs):
+        analyses = analyze_states(*args, **kwargs)
+        made.extend(weakref.ref(analysis) for analysis in analyses)
+        seen["calls"] += len(analyses)
         seen["most"] = max(seen["most"], sum(ref() is not None for ref in made))
-        return analysis
+        return analyses
 
     for module in (monitors, SIMULATE, PROFILE):
-        monkeypatch.setattr(module, "analyze_state", tracked)
+        monkeypatch.setattr(module, "analyze_states", tracked, raising=False)
     return seen
 
 
